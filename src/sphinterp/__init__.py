@@ -9,6 +9,7 @@ machinery constructively, and emits the induced cubature rules.
 from .cubature import (
     CubatureRule,
     ExactnessReport,
+    analytic_basis_integral,
     apply_rule,
     build_rule,
     exactness_certificate,
@@ -47,6 +48,7 @@ from .interpolation import (
     solve,
 )
 from .nodes import (
+    TOL_MIRROR,
     AzimuthGrid,
     LatitudeRing,
     NodeGroup,
@@ -54,10 +56,14 @@ from .nodes import (
     PartitionPlan,
     azimuth_grid,
     build_nodeset,
+    check_mirrored,
     default_latitudes,
     dimension_identity_check,
     enumerate_partitions,
+    equispaced_latitudes,
     legendre_latitudes,
+    mirror,
+    mirrored_grid,
     seeded_latitudes,
 )
 from .polynomials import (

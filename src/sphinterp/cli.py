@@ -18,12 +18,13 @@ import sys
 
 from .cubature import apply_rule, build_rule, exactness_certificate
 from .errors import InputError, PoisednessError
-from .interpolation import InterpolationProblem, solve
+from .interpolation import RESIDUAL_TOL, InterpolationProblem, solve
 from .nodes import (
     NodeSet,
     PartitionPlan,
     build_nodeset,
     default_latitudes,
+    equispaced_latitudes,
     legendre_latitudes,
 )
 from .verification import (
@@ -68,6 +69,23 @@ def _write_json(path: str, obj) -> None:
         fh.write("\n")
 
 
+def _read_json(path: str):
+    with open(path, "r", encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def _lat_file(args):
+    if args.lat_file is None:
+        raise InputError("--latitudes file requires --lat-file")
+    return _read_json(args.lat_file)
+
+
+def _builtin(name: str):
+    if name not in BUILTIN_FUNCTIONS:
+        raise InputError(f"unknown function {name!r}; choose from {sorted(BUILTIN_FUNCTIONS)}")
+    return BUILTIN_FUNCTIONS[name]
+
+
 def _parse_plan(text: str, n: int) -> PartitionPlan:
     try:
         parts = tuple(int(p) for p in text.split(","))
@@ -77,35 +95,17 @@ def _parse_plan(text: str, n: int) -> PartitionPlan:
 
 
 def cmd_gen_nodes(args) -> int:
-    if args.n < 1 or args.n % 2 == 0:
-        print(f"error: n must be an odd positive integer, got {args.n}", file=sys.stderr)
-        return 2
-    try:
-        plan = _parse_plan(args.plan, args.n)
-    except InputError as exc:
-        print(f"error: invalid plan: {exc}", file=sys.stderr)
-        return 2
-    try:
-        if args.latitudes == "default":
-            lats = default_latitudes(plan)
-        elif args.latitudes == "legendre":
-            if plan.sigma != 1:
-                print(
-                    "error: legendre latitudes require a single-group plan",
-                    file=sys.stderr,
-                )
-                return 2
-            m = plan.lambdas[0]
-            lats = [legendre_latitudes(m)[:m]]
-        else:
-            if args.lat_file is None:
-                raise InputError("--latitudes file requires --lat-file")
-            with open(args.lat_file, "r", encoding="utf-8") as fh:
-                lats = json.load(fh)
-        nodes = build_nodeset(plan, lats)
-    except (InputError, OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    plan = _parse_plan(args.plan, args.n)
+    if args.latitudes == "default":
+        lats = default_latitudes(plan)
+    elif args.latitudes == "legendre":
+        if plan.sigma != 1:
+            raise InputError("legendre latitudes require a single-group plan")
+        m = plan.lambdas[0]
+        lats = [legendre_latitudes(m)[:m]]
+    else:
+        lats = _lat_file(args)
+    nodes = build_nodeset(plan, lats)
     _write_json(args.out, nodes.to_json_dict())
     print(f"{nodes.count()} points: {plan.summary()}")
     print(f"wrote {args.out}")
@@ -136,36 +136,14 @@ def _read_data_csv(path: str, count: int) -> list[float]:
 
 
 def cmd_interpolate(args) -> int:
-    try:
-        with open(args.nodes, "r", encoding="utf-8") as fh:
-            nodes = NodeSet.from_json_dict(json.load(fh))
-    except (InputError, OSError, json.JSONDecodeError, KeyError) as exc:
-        print(f"error: cannot load node set: {exc}", file=sys.stderr)
-        return 2
+    nodes = NodeSet.from_json_dict(_read_json(args.nodes))
     count = nodes.count()
-    try:
-        if args.function is not None:
-            if args.function not in BUILTIN_FUNCTIONS:
-                raise InputError(
-                    f"unknown function {args.function!r}; "
-                    f"choose from {sorted(BUILTIN_FUNCTIONS)}"
-                )
-            f = BUILTIN_FUNCTIONS[args.function]
-            data = [f(th, ph) for th, ph in nodes.points()]
-        else:
-            data = _read_data_csv(args.data, count)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        report = solve(InterpolationProblem(nodes=nodes, data=tuple(data)))
-    except PoisednessError as exc:
-        print(
-            f"error: solve failed: {exc} (pivot_min={exc.pivot_min:.3e}, "
-            f"condition={exc.condition_estimate:.3e})",
-            file=sys.stderr,
-        )
-        return 1
+    if args.function is not None:
+        f = _builtin(args.function)
+        data = [f(th, ph) for th, ph in nodes.points()]
+    else:
+        data = _read_data_csv(args.data, count)
+    report = solve(InterpolationProblem(nodes=nodes, data=tuple(data)))
     sol = report.solution
     _write_json(
         args.out_coeffs,
@@ -210,29 +188,15 @@ def cmd_interpolate(args) -> int:
     return 0
 
 
-def _equispaced_rule_latitudes(m: int) -> list[float]:
-    north = [math.acos((m - q) / (m + 1.0)) for q in range(m)]
-    return north + [math.pi - th for th in reversed(north)]
-
-
 def cmd_cubature(args) -> int:
-    if args.m < 1:
-        print(f"error: m must be a positive integer, got {args.m}", file=sys.stderr)
-        return 2
-    try:
-        if args.latitudes == "legendre":
-            lats = legendre_latitudes(args.m)
-        elif args.latitudes == "default":
-            lats = _equispaced_rule_latitudes(args.m)
-        else:
-            if args.lat_file is None:
-                raise InputError("--latitudes file requires --lat-file")
-            with open(args.lat_file, "r", encoding="utf-8") as fh:
-                lats = json.load(fh)
-        rule = build_rule(lats)
-    except (InputError, OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    f = None if args.apply is None else _builtin(args.apply)
+    if args.latitudes == "legendre":
+        lats = legendre_latitudes(args.m)
+    elif args.latitudes == "default":
+        lats = equispaced_latitudes(args.m)
+    else:
+        lats = _lat_file(args)
+    rule = build_rule(lats)
     cert = exactness_certificate(rule)
     _write_json(args.out_rule, rule.to_json_dict())
     _write_json(
@@ -250,32 +214,16 @@ def cmd_cubature(args) -> int:
         f"rule m={rule.m}: {rule.node_count()} nodes, exactness max error "
         f"{cert.max_abs_error:.3e}, min weight {min(rule.weights):.6f}"
     )
-    if args.apply is not None:
-        if args.apply not in BUILTIN_FUNCTIONS:
-            print(
-                f"error: unknown function {args.apply!r}; "
-                f"choose from {sorted(BUILTIN_FUNCTIONS)}",
-                file=sys.stderr,
-            )
-            return 2
-        value = apply_rule(rule, BUILTIN_FUNCTIONS[args.apply])
+    if f is not None:
+        value = apply_rule(rule, f)
         print(f"integral[{args.apply}] = {value!r}")
     return 0
 
 
 def cmd_verify(args) -> int:
     if args.suite not in _SUITES:
-        print(
-            f"error: unknown suite {args.suite!r}; choose from {sorted(_SUITES)}",
-            file=sys.stderr,
-        )
-        return 2
-    try:
-        rows = _SUITES[args.suite](args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    rows = sorted(rows, key=lambda r: (r["case"], r["metric"]))
+        raise InputError(f"unknown suite {args.suite!r}; choose from {sorted(_SUITES)}")
+    rows = sorted(_SUITES[args.suite](args), key=lambda r: (r["case"], r["metric"]))
     if args.out is not None:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
             writer = csv.DictWriter(
@@ -332,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--residual-tol",
         type=float,
-        default=1e-8,
+        default=RESIDUAL_TOL,
         help="fail (exit 1) if the relative residual exceeds this",
     )
     p.set_defaults(func=cmd_interpolate)
@@ -366,10 +314,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command: exit 0 on success, 1 on a numerical failure, 2 on bad input."""
     args = build_parser().parse_args(argv)
     if getattr(args, "seed", None) is None:
         args.seed = _default_seed()
-    return args.func(args)
+    try:
+        return args.func(args)
+    except PoisednessError as exc:
+        print(
+            f"error: solve failed: {exc} (pivot_min={exc.pivot_min:.3e}, "
+            f"condition={exc.condition_estimate:.3e})",
+            file=sys.stderr,
+        )
+        return 1
+    except (InputError, OSError, json.JSONDecodeError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

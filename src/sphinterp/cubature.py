@@ -20,7 +20,13 @@ import numpy as np
 
 from .errors import InputError
 from .interpolation import assemble_at_points
-from .nodes import legendre_latitudes
+from .nodes import (
+    LatitudeRing,
+    azimuth_grid,
+    check_mirrored,
+    legendre_latitudes,
+    mirrored_grid,
+)
 from .spherical import basis_index_order
 
 _PI = math.pi
@@ -48,24 +54,19 @@ class CubatureRule:
         if abs(total - 2.0) > 1e-12:
             raise InputError(f"weights must sum to 2, got {total!r}")
 
-    def alpha(self, i: int) -> float:
-        return 0.0 if i < self.m else 1.0
-
-    def azimuths(self, i: int) -> list[float]:
-        a = self.alpha(i)
-        return [(2 * j + a) * _PI / (2 * self.m) for j in range(2 * self.m)]
+    def rings(self) -> tuple[LatitudeRing, ...]:
+        return mirrored_grid(self.latitudes, self.m)
 
     def node_count(self) -> int:
         return 4 * self.m * self.m
 
     def nodes(self) -> list[tuple[float, float, float]]:
         """Flattened (theta, phi, node_weight) triples."""
-        out = []
-        for i, th in enumerate(self.latitudes):
-            nw = (_PI / self.m) * self.weights[i]
-            for ph in self.azimuths(i):
-                out.append((th, ph, nw))
-        return out
+        return [
+            (th, ph, (_PI / self.m) * w)
+            for ring, w in zip(self.rings(), self.weights)
+            for th, ph in ring.points()
+        ]
 
     def to_json_dict(self) -> dict:
         return {
@@ -113,24 +114,11 @@ def build_rule(latitudes: Sequence[float]) -> CubatureRule:
     """Weights from exact integration of the Lagrange cardinals.
 
     ``latitudes`` must be 2m distinct angles in (0, pi) with the mirror
-    symmetry theta_{2m+1-i} = pi - theta_i (checked to 1e-12).
+    symmetry theta_{2m+1-i} = pi - theta_i (see ``check_mirrored``).
     """
-    ths = [float(t) for t in latitudes]
-    if len(ths) % 2 != 0 or len(ths) == 0:
-        raise InputError("need an even, positive number of latitudes")
-    m = len(ths) // 2
-    if any(not 0.0 < t < _PI for t in ths):
-        raise InputError("latitudes must lie strictly inside (0, pi)")
-    if len(set(ths)) != len(ths):
-        raise InputError("latitudes must be pairwise distinct")
-    for i in range(m):
-        if abs(ths[2 * m - 1 - i] - (_PI - ths[i])) > 1e-12:
-            raise InputError(
-                f"latitudes must be mirror pairs: index {i} and {2 * m - 1 - i}"
-            )
-    grid = [math.cos(t) for t in ths]
-    weights = tuple(_cardinal_integral_weights(grid))
-    return CubatureRule(m=m, latitudes=tuple(ths), weights=weights)
+    ths = check_mirrored(latitudes)
+    weights = tuple(_cardinal_integral_weights([math.cos(t) for t in ths]))
+    return CubatureRule(m=len(ths) // 2, latitudes=tuple(ths), weights=weights)
 
 
 def legendre_rule(m: int) -> CubatureRule:
@@ -144,11 +132,11 @@ def apply_rule(rule: CubatureRule, f: Callable[[float, float], float]) -> float:
     applications are bitwise reproducible.
     """
     total = 0.0
-    for i, th in enumerate(rule.latitudes):
-        ring = 0.0
-        for ph in rule.azimuths(i):
-            ring += f(th, ph)
-        total += rule.weights[i] * ring
+    for ring, w in zip(rule.rings(), rule.weights):
+        ring_sum = 0.0
+        for ph in ring.grid.angles:
+            ring_sum += f(ring.theta, ph)
+        total += w * ring_sum
     return (_PI / rule.m) * total
 
 
@@ -169,7 +157,7 @@ def trig_quadrature_check(
     if p_degree < 0:
         raise InputError("p_degree must be nonnegative")
     rng = np.random.default_rng(seed)
-    phis = np.array([(2 * j + alpha) * _PI / (2 * m) for j in range(2 * m)])
+    phis = np.array(azimuth_grid(m, alpha).angles)
     worst = 0.0
     for _ in range(trials):
         c0 = float(rng.standard_normal())
@@ -179,6 +167,13 @@ def trig_quadrature_check(
             vals += rng.standard_normal() * np.sin(d * phis)
         worst = max(worst, abs(float(np.mean(vals)) - c0))
     return worst
+
+
+def analytic_basis_integral(k: int, j: int) -> float:
+    """Surface integral of the basis element (k, j): zero unless k = 0, j even."""
+    if k == 0 and j % 2 == 0:
+        return 2.0 * _PI * 2.0 / (j + 1)
+    return 0.0
 
 
 @dataclass(frozen=True)
@@ -201,13 +196,10 @@ def exactness_certificate(rule: CubatureRule) -> ExactnessReport:
     node_w = np.array([w for _, _, w in rule.nodes()])
     matrix = assemble_at_points(n, pts)
     rule_vals = node_w @ matrix
-    errors = []
-    for col, (k, _kind, j) in enumerate(basis_index_order(n)):
-        if k == 0 and j % 2 == 0:
-            true = 2.0 * _PI * 2.0 / (j + 1)
-        else:
-            true = 0.0
-        errors.append(float(rule_vals[col] - true))
+    errors = [
+        float(rule_vals[col] - analytic_basis_integral(k, j))
+        for col, (k, _kind, j) in enumerate(basis_index_order(n))
+    ]
     max_err = max(abs(e) for e in errors)
     return ExactnessReport(m=rule.m, max_abs_error=max_err, errors=tuple(errors))
 

@@ -32,12 +32,14 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DivisibilityError, InputError, InternalInconsistencyError
-from .nodes import NodeSet, PartitionPlan
+from .nodes import NodeSet, PartitionPlan, check_mirrored, mirrored_grid
 from .polynomials import UnivariatePoly, divide_by_linear_factors, zero
-from .spherical import SphericalPoly, zero_spherical
+from .spherical import SphericalPoly, fold_azimuth_modes, zero_spherical
 
 _PI = math.pi
 _TINY = float(np.finfo(float).tiny)
+
+SIGMA_TOL = 1e-12  # smallest scaled singular value that certifies a chain step
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +172,8 @@ def latitude_vanishing_residuals(
         b_k(c) + s**(2m-2k) (a_{2m-k}(c) sin(a pi) - b_{2m-k}(c) cos(a pi)),
 
     and finally a_m(c) cos(a pi / 2) + b_m(c) sin(a pi / 2), with
-    c = cos(theta), s = sin(theta).
+    c = cos(theta), s = sin(theta). These are the bands of
+    ``fold_azimuth_modes(T, alpha, m)`` with their sin(theta) weights.
     """
     n = T.degree
     if n % 2 == 0:
@@ -178,21 +181,15 @@ def latitude_vanishing_residuals(
     if not 0.0 < theta < _PI:
         raise InputError(f"theta must lie strictly inside (0, pi), got {theta!r}")
     m = (n + 1) // 2
+    folded = fold_azimuth_modes(T, alpha, m)
     c = math.cos(theta)
     s = math.sin(theta)
-    ca = math.cos(alpha * _PI)
-    sa = math.sin(alpha * _PI)
-    out = [float(T.a[0](c))]
+    out = [float(folded.a0(c))]
     for k in range(1, m):
-        hi_a = float(T.a[2 * m - k](c))
-        hi_b = float(T.b[2 * m - k](c))
         w = s ** (2 * m - 2 * k)
-        out.append(float(T.a[k](c)) + w * (hi_a * ca + hi_b * sa))
-        out.append(float(T.b[k](c)) + w * (hi_a * sa - hi_b * ca))
-    out.append(
-        float(T.a[m](c)) * math.cos(alpha * _PI / 2.0)
-        + float(T.b[m](c)) * math.sin(alpha * _PI / 2.0)
-    )
+        out.append(float(folded.cos_low[k - 1](c)) + w * float(folded.cos_high[k - 1](c)))
+        out.append(float(folded.sin_low[k - 1](c)) + w * float(folded.sin_high[k - 1](c)))
+    out.append(float(folded.axial(c)))
     return tuple(out)
 
 
@@ -282,14 +279,6 @@ def _reference_sup(T: SphericalPoly) -> float:
     return float(np.max(np.abs(T.eval(tt, pp))))
 
 
-def _step_grid(m: int, lam: int, thetas: Sequence[float]):
-    """Grid points of one factorization step: unrotated north, rotated south."""
-    for i, th in enumerate(thetas):
-        alpha = 0.0 if i < lam else 1.0
-        for j in range(2 * m):
-            yield th, (2 * j + alpha) * _PI / (2 * m)
-
-
 def _divide_band(
     band: UnivariatePoly, roots: Sequence[float], division_tol: float, scale: float
 ) -> UnivariatePoly:
@@ -333,21 +322,12 @@ def factor_step(
         raise InputError(f"need m <= deg T <= 2m - 1, got deg T = {s_deg}, m = {m}")
     if lam != s_deg - m + 1:
         raise InputError(f"lam must equal deg T - m + 1 = {s_deg - m + 1}, got {lam}")
-    ths = [float(t) for t in thetas]
+    ths = check_mirrored(thetas)
     if len(ths) != 2 * lam:
         raise InputError(f"need {2 * lam} latitudes, got {len(ths)}")
-    if any(not 0.0 < t < _PI for t in ths):
-        raise InputError("latitudes must lie strictly inside (0, pi)")
-    if len(set(ths)) != len(ths):
-        raise InputError("latitudes must be pairwise distinct")
-    for i in range(lam):
-        if abs(ths[2 * lam - 1 - i] - (_PI - ths[i])) > 1e-12:
-            raise InputError(
-                f"latitudes must be mirror pairs: index {i} and {2 * lam - 1 - i}"
-            )
 
     bound = vanish_tol * max(_reference_sup(T), _TINY)
-    for th, ph in _step_grid(m, lam, ths):
+    for th, ph in (pt for ring in mirrored_grid(ths, m) for pt in ring.points()):
         v = abs(float(T.eval(th, ph)))
         if v > bound:
             raise InputError(
@@ -440,7 +420,7 @@ def _scaled_sigma_min(mat: np.ndarray) -> float:
 
 
 def chain_kernel_certificate(
-    nodes: NodeSet, sigma_tol: float = 1e-12
+    nodes: NodeSet, sigma_tol: float = SIGMA_TOL
 ) -> ChainKernelCertificate:
     """Certify kernel triviality via the small systems of each chain step.
 

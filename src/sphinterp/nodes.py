@@ -21,6 +21,8 @@ from .errors import InputError
 
 _PI = math.pi
 
+TOL_MIRROR = 1e-14  # largest accepted |theta_south - (pi - theta_north)|
+
 
 @dataclass(frozen=True)
 class AzimuthGrid:
@@ -42,6 +44,38 @@ def azimuth_grid(s: int, alpha: float) -> AzimuthGrid:
         raise InputError(f"alpha must lie in [0, 2), got {alpha!r}")
     angles = tuple((2 * j + alpha) * _PI / (2 * s) for j in range(2 * s))
     return AzimuthGrid(s=s, alpha=float(alpha), angles=angles)
+
+
+def mirror(north: Sequence[float]) -> list[float]:
+    """Append the southern mirrors pi - theta, in reversed order, to ``north``."""
+    north = [float(th) for th in north]
+    return north + [_PI - th for th in reversed(north)]
+
+
+def check_mirrored(thetas: Sequence[float]) -> list[float]:
+    """Validate 2 lam mirror-paired latitudes and return them as floats.
+
+    The count must be even and positive, every angle strictly inside
+    (0, pi), all angles distinct, and theta_{2 lam - 1 - i} = pi - theta_i
+    within ``TOL_MIRROR``.
+    """
+    try:
+        ths = [float(th) for th in thetas]
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"latitudes must be a list of numbers: {exc}") from None
+    if len(ths) == 0 or len(ths) % 2 != 0:
+        raise InputError("need an even, positive number of latitudes")
+    if any(not 0.0 < th < _PI for th in ths):
+        raise InputError("latitudes must lie strictly inside (0, pi)")
+    if len(set(ths)) != len(ths):
+        raise InputError("latitudes must be pairwise distinct")
+    for north, south in zip(ths[: len(ths) // 2], reversed(ths)):
+        if abs(south - (_PI - north)) > TOL_MIRROR:
+            raise InputError(
+                f"latitudes must mirror: theta={north!r} pairs with "
+                f"{south!r}, expected {_PI - north!r}"
+            )
+    return ths
 
 
 @dataclass(frozen=True)
@@ -134,6 +168,24 @@ class LatitudeRing:
     alpha: float
     grid: AzimuthGrid
 
+    def points(self) -> list[tuple[float, float]]:
+        return [(self.theta, phi) for phi in self.grid.angles]
+
+
+def mirrored_grid(thetas: Sequence[float], s: int) -> tuple[LatitudeRing, ...]:
+    """Rings of 2s azimuths on mirror-paired latitudes.
+
+    The first half of ``thetas`` (the northern rings) gets the unrotated
+    grid (alpha = 0), the mirrored half the half-step rotated grid
+    (alpha = 1).
+    """
+    half = len(thetas) // 2
+    rings = []
+    for i, th in enumerate(thetas):
+        grid = azimuth_grid(s, 0.0 if i < half else 1.0)
+        rings.append(LatitudeRing(theta=float(th), alpha=grid.alpha, grid=grid))
+    return tuple(rings)
+
 
 @dataclass(frozen=True)
 class NodeGroup:
@@ -164,19 +216,13 @@ class NodeSet:
             if len(group.rings) != 2 * lam:
                 raise InputError(f"group {k + 1} must have {2 * lam} latitudes")
             for ring in group.rings:
-                if not 0.0 < ring.theta < _PI:
-                    raise InputError(f"theta {ring.theta!r} outside (0, pi)")
                 if ring.grid.s != group.s:
                     raise InputError("ring grid size must match its group")
-                thetas.append(ring.theta)
-            for i in range(lam):
-                north = group.rings[i].theta
-                south = group.rings[2 * lam - 1 - i].theta
-                if abs(south - (_PI - north)) > 1e-14:
+                if ring.grid.alpha != ring.alpha:
                     raise InputError(
-                        f"latitudes must mirror: theta={north!r} pairs with "
-                        f"{south!r}, expected {_PI - north!r}"
+                        f"ring alpha {ring.alpha!r} differs from its grid's {ring.grid.alpha!r}"
                     )
+            thetas += check_mirrored([ring.theta for ring in group.rings])
         if len(set(thetas)) != len(thetas):
             raise InputError("latitudes must be pairwise distinct across all groups")
         if self.count() != plan.point_count():
@@ -194,12 +240,7 @@ class NodeSet:
 
     def points(self) -> list[tuple[float, float]]:
         """Flattened (theta, phi) pairs: groups, then rings, then azimuths."""
-        pts = []
-        for group in self.groups:
-            for ring in group.rings:
-                for phi in ring.grid.angles:
-                    pts.append((ring.theta, phi))
-        return pts
+        return [pt for group in self.groups for ring in group.rings for pt in ring.points()]
 
     def to_json_dict(self) -> dict:
         return {
@@ -221,19 +262,24 @@ class NodeSet:
 
     @staticmethod
     def from_json_dict(data: dict) -> "NodeSet":
-        plan = PartitionPlan(n=int(data["n"]), lambdas=tuple(data["lambdas"]))
-        groups = []
-        for g in data["groups"]:
-            s = int(g["s"])
-            rings = tuple(
-                LatitudeRing(
-                    theta=float(lat["theta"]),
-                    alpha=float(lat["alpha"]),
-                    grid=azimuth_grid(s, float(lat["alpha"])),
+        try:
+            plan = PartitionPlan(n=int(data["n"]), lambdas=tuple(data["lambdas"]))
+            groups = []
+            for g in data["groups"]:
+                s = int(g["s"])
+                rings = tuple(
+                    LatitudeRing(
+                        theta=float(lat["theta"]),
+                        alpha=float(lat["alpha"]),
+                        grid=azimuth_grid(s, float(lat["alpha"])),
+                    )
+                    for lat in g["latitudes"]
                 )
-                for lat in g["latitudes"]
-            )
-            groups.append(NodeGroup(index=int(g["k"]), s=s, rings=rings))
+                groups.append(NodeGroup(index=int(g["k"]), s=s, rings=rings))
+        except InputError:
+            raise
+        except (KeyError, TypeError, ValueError) as exc:
+            raise InputError(f"malformed node set: {type(exc).__name__}: {exc}") from None
         return NodeSet(plan=plan, groups=tuple(groups))
 
 
@@ -248,63 +294,37 @@ def build_nodeset(
     and the mirrored rings the rotated grid (alpha = 1). The equator is
     rejected because it would mirror onto itself.
     """
+    try:
+        latitudes = [[float(th) for th in group_lats] for group_lats in latitudes]
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"latitudes must be per-group lists of numbers: {exc}") from None
     if len(latitudes) != plan.sigma:
         raise InputError(f"expected {plan.sigma} latitude groups, got {len(latitudes)}")
-    supplied: list[float] = []
     for k, group_lats in enumerate(latitudes):
         if len(group_lats) != plan.lambdas[k]:
             raise InputError(
                 f"group {k + 1} needs {plan.lambdas[k]} latitudes, got {len(group_lats)}"
             )
         for th in group_lats:
-            th = float(th)
             if not 0.0 < th < _PI / 2.0:
                 raise InputError(
                     f"latitude {th!r} must lie strictly inside (0, pi/2); "
                     "the equator mirrors onto itself"
                 )
-            supplied.append(th)
-    if len(set(supplied)) != len(supplied):
-        raise InputError("supplied latitudes must be pairwise distinct")
-
-    half_counts = plan.azimuth_half_counts()
-    groups = []
-    for k, group_lats in enumerate(latitudes):
-        s = half_counts[k]
-        north = [
-            LatitudeRing(theta=float(th), alpha=0.0, grid=azimuth_grid(s, 0.0))
-            for th in group_lats
-        ]
-        south = [
-            LatitudeRing(theta=_PI - float(th), alpha=1.0, grid=azimuth_grid(s, 1.0))
-            for th in reversed(group_lats)
-        ]
-        groups.append(NodeGroup(index=k + 1, s=s, rings=tuple(north + south)))
-    return NodeSet(plan=plan, groups=tuple(groups))
+    groups = tuple(
+        NodeGroup(index=k + 1, s=s, rings=mirrored_grid(mirror(group_lats), s))
+        for k, (group_lats, s) in enumerate(zip(latitudes, plan.azimuth_half_counts()))
+    )
+    return NodeSet(plan=plan, groups=groups)
 
 
-def default_latitudes(plan: PartitionPlan) -> list[list[float]]:
-    """Reproducible latitude choice: equally spaced cosines in (0, 1).
+def _cosine_latitudes(plan: PartitionPlan, jitter: Sequence[float]) -> list[list[float]]:
+    """Latitudes at cos(theta) = (M - q + jitter[q]) / (M + 1), dealt to the groups.
 
-    The global sequence cos(theta) = M/(M+1), ..., 1/(M+1) (M latitudes in
-    total) is dealt out to the groups in plan order, so each group gets a
-    strictly decreasing run and all values are distinct.
+    M is the total latitude count; the q-th value goes to the group holding
+    position q in plan order.
     """
     total = sum(plan.lambdas)
-    cosines = [(total - q) / (total + 1.0) for q in range(total)]
-    out = []
-    pos = 0
-    for lam in plan.lambdas:
-        out.append([math.acos(c) for c in cosines[pos : pos + lam]])
-        pos += lam
-    return out
-
-
-def seeded_latitudes(plan: PartitionPlan, seed: int) -> list[list[float]]:
-    """Jitter the default cosines; separation stays at least 0.2 slots."""
-    total = sum(plan.lambdas)
-    rng = np.random.default_rng(seed)
-    jitter = rng.uniform(-0.4, 0.4, size=total)
     cosines = [(total - q + jitter[q]) / (total + 1.0) for q in range(total)]
     out = []
     pos = 0
@@ -314,39 +334,41 @@ def seeded_latitudes(plan: PartitionPlan, seed: int) -> list[list[float]]:
     return out
 
 
-def _legendre_value_deriv(n: int, x: float) -> tuple[float, float]:
-    """Value and derivative of the degree-n Legendre polynomial at x."""
-    p_prev, p = 1.0, x
-    for k in range(2, n + 1):
-        p_prev, p = p, ((2 * k - 1) * x * p - (k - 1) * p_prev) / k
-    dp = n * (x * p - p_prev) / (x * x - 1.0)
-    return p, dp
+def default_latitudes(plan: PartitionPlan) -> list[list[float]]:
+    """Reproducible latitude choice: equally spaced cosines in (0, 1).
+
+    The global sequence cos(theta) = M/(M+1), ..., 1/(M+1) (M latitudes in
+    total) is dealt out to the groups in plan order, so each group gets a
+    strictly decreasing run and all values are distinct.
+    """
+    return _cosine_latitudes(plan, [0.0] * sum(plan.lambdas))
+
+
+def seeded_latitudes(plan: PartitionPlan, seed: int) -> list[list[float]]:
+    """Jitter the default cosines; separation stays at least 0.2 slots."""
+    rng = np.random.default_rng(seed)
+    return _cosine_latitudes(plan, rng.uniform(-0.4, 0.4, size=sum(plan.lambdas)))
+
+
+def equispaced_latitudes(m: int) -> list[float]:
+    """2m mirror-paired latitudes, the northern ones at cos(theta) = q / (m + 1)."""
+    if m < 1:
+        raise InputError("m must be a positive integer")
+    return mirror(default_latitudes(PartitionPlan(n=2 * m - 1, lambdas=(m,)))[0])
 
 
 def legendre_latitudes(m: int) -> list[float]:
     """Polar angles of the 2m Gauss-Legendre nodes, mirror-paired exactly.
 
-    Only the m positive zeros of the degree-2m Legendre polynomial are
-    computed (Newton from the Chebyshev-like initial guess, converged to
-    1e-14); the southern angles are generated as pi - theta so that the
-    mirror symmetry holds exactly in floating point.
+    The m positive zeros of the degree-2m Legendre polynomial come from
+    ``numpy.polynomial.legendre.leggauss``; the southern angles are
+    generated as pi - theta so that the mirror symmetry holds exactly in
+    floating point.
     """
     if m < 1:
         raise InputError("m must be a positive integer")
-    n = 2 * m
-    north = []
-    for i in range(1, m + 1):
-        x = math.cos(_PI * (i - 0.25) / (n + 0.5))
-        for _ in range(100):
-            p, dp = _legendre_value_deriv(n, x)
-            dx = p / dp
-            x -= dx
-            if abs(dx) < 1e-14:
-                break
-        north.append(math.acos(x))
-    north.sort()
-    south = [_PI - th for th in reversed(north)]
-    return north + south
+    zeros, _ = np.polynomial.legendre.leggauss(2 * m)
+    return mirror(sorted(math.acos(x) for x in zeros[m:]))
 
 
 def dimension_identity_check(s: int, lam: int) -> bool:

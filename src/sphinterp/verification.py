@@ -14,6 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from .cubature import (
+    analytic_basis_integral,
     apply_rule,
     build_rule,
     exactness_certificate,
@@ -21,6 +22,7 @@ from .cubature import (
     trig_quadrature_check,
 )
 from .factorization import (
+    SIGMA_TOL,
     ChebyshevTestCase,
     chain_kernel_certificate,
     chebyshev_collocation_det,
@@ -30,6 +32,7 @@ from .factorization import (
     reduction_system_det,
 )
 from .interpolation import (
+    RESIDUAL_TOL as TOL_RESIDUAL,
     InterpolationProblem,
     assemble_at_points,
     poisedness_certificate,
@@ -37,11 +40,15 @@ from .interpolation import (
 )
 from .nodes import (
     PartitionPlan,
+    azimuth_grid,
     build_nodeset,
     default_latitudes,
     dimension_identity_check,
     enumerate_partitions,
+    equispaced_latitudes,
     legendre_latitudes,
+    mirror,
+    mirrored_grid,
     seeded_latitudes,
 )
 from .polynomials import UnivariatePoly, integrate_unit_interval
@@ -56,7 +63,6 @@ from .spherical import (
 
 _PI = math.pi
 
-TOL_RESIDUAL = 1e-8
 TOL_PLANT_COEFF = 1e-7
 TOL_FOLD = 1e-11
 TOL_VANISH_EQUIV = 1e-11
@@ -67,7 +73,6 @@ TOL_WEIGHT_SYM = 1e-12
 TOL_TOTAL_WEIGHT = 1e-10
 TOL_TRIG = 1e-12
 TOL_CONSISTENCY = 1e-8
-SIGMA_TOL = 1e-12
 
 
 def _row(suite: str, case: str, metric: str, value, threshold, ok) -> dict:
@@ -94,8 +99,7 @@ def _jittered_points(count: int, rng: np.random.Generator) -> list[float]:
 
 def _symmetric_thetas(lam: int, rng: np.random.Generator) -> list[float]:
     """2 lam mirror-paired latitudes with jittered cosines in (0, 1)."""
-    north = sorted(math.acos(c) for c in _jittered_points(lam, rng))
-    return north + [_PI - th for th in reversed(north)]
+    return mirror(sorted(math.acos(c) for c in _jittered_points(lam, rng)))
 
 
 # ---------------------------------------------------------------------------
@@ -259,11 +263,7 @@ def factorization_suite(mmax: int = 5, seeds: int = 20, seed: int = 0) -> list[d
                 # full-degree step: the grid is square, so kernel triviality
                 # is the smallest scaled singular value of its collocation
                 thetas = _symmetric_thetas(lam, rng)
-                grid = []
-                for i, th in enumerate(thetas):
-                    alpha = 0.0 if i < lam else 1.0
-                    for j in range(2 * m):
-                        grid.append((th, (2 * j + alpha) * _PI / (2 * m)))
+                grid = [pt for ring in mirrored_grid(thetas, m) for pt in ring.points()]
                 mat = assemble_at_points(s_deg, grid)
                 sv = np.linalg.svd(mat, compute_uv=False)
                 ratio = float(sv[-1] / sv[0])
@@ -310,29 +310,27 @@ def factorization_suite(mmax: int = 5, seeds: int = 20, seed: int = 0) -> list[d
 
 
 def _plant_vanishing(T: SphericalPoly, theta: float, alpha: float) -> SphericalPoly:
-    """Shift band constants so T vanishes on the fold grid at this latitude."""
+    """Subtract the vanishing-system residuals from the band constants.
+
+    Each residual moves one-for-one with the constant term of a single band
+    (a_0, then a_k and b_k for k < m, then a_m or b_m over its axial
+    weight), so the shifted polynomial vanishes on the fold grid.
+    """
     n = T.degree
     m = (n + 1) // 2
-    c = math.cos(theta)
-    s = math.sin(theta)
-    ca = math.cos(alpha * _PI)
-    sa = math.sin(alpha * _PI)
+    res = latitude_vanishing_residuals(T, theta, alpha)
     a = list(T.a)
     b = list(T.b)
-    a[0] = a[0] - UnivariatePoly((float(a[0](c)),))
+    a[0] = a[0] - UnivariatePoly((res[0],))
     for k in range(1, m):
-        hi_a = float(a[2 * m - k](c))
-        hi_b = float(b[2 * m - k](c))
-        w = s ** (2 * m - 2 * k)
-        a[k] = a[k] - UnivariatePoly((float(a[k](c)) + w * (hi_a * ca + hi_b * sa),))
-        b[k] = b[k] - UnivariatePoly((float(b[k](c)) + w * (hi_a * sa - hi_b * ca),))
+        a[k] = a[k] - UnivariatePoly((res[2 * k - 1],))
+        b[k] = b[k] - UnivariatePoly((res[2 * k],))
     cs2 = math.cos(alpha * _PI / 2.0)
     sn2 = math.sin(alpha * _PI / 2.0)
-    axial = float(a[m](c)) * cs2 + float(b[m](c)) * sn2
     if abs(cs2) >= abs(sn2):
-        a[m] = a[m] - UnivariatePoly((axial / cs2,))
+        a[m] = a[m] - UnivariatePoly((res[-1] / cs2,))
     else:
-        b[m] = b[m] - UnivariatePoly((axial / sn2,))
+        b[m] = b[m] - UnivariatePoly((res[-1] / sn2,))
     return SphericalPoly(degree=n, a=tuple(a), b=tuple(b))
 
 
@@ -349,7 +347,7 @@ def lemmas_suite(
                 T = random_spherical(n, rng)
                 folded = fold_azimuth_modes(T, alpha, m)
                 theta = float(rng.uniform(0.1, _PI - 0.1))
-                phis = [(2 * j + alpha) * _PI / (2 * m) for j in range(2 * m)]
+                phis = azimuth_grid(m, alpha).angles
                 direct = [float(T.eval(theta, ph)) for ph in phis]
                 scale = max(1.0, max(abs(v) for v in direct))
                 diff = max(
@@ -371,7 +369,7 @@ def lemmas_suite(
         if trial % 2 == 0:
             T = _plant_vanishing(T, theta, alpha)
         scale = max(1.0, T.coeff_scale())
-        phis = [(2 * j + alpha) * _PI / (2 * m) for j in range(2 * m)]
+        phis = azimuth_grid(m, alpha).angles
         max_val = max(abs(float(T.eval(theta, ph))) for ph in phis)
         max_res = max(abs(v) for v in latitude_vanishing_residuals(T, theta, alpha))
         vals_small = max_val <= TOL_VANISH_EQUIV * scale
@@ -397,18 +395,6 @@ def lemmas_suite(
 # ---------------------------------------------------------------------------
 
 
-def _equispaced_latitudes(m: int) -> list[float]:
-    north = [math.acos((m - q) / (m + 1.0)) for q in range(m)]
-    return north + [_PI - th for th in reversed(north)]
-
-
-def analytic_basis_integral(k: int, j: int) -> float:
-    """Surface integral of the basis element (k, j): zero unless k = 0, j even."""
-    if k == 0 and j % 2 == 0:
-        return 2.0 * _PI * 2.0 / (j + 1)
-    return 0.0
-
-
 def cubature_suite(
     mmax: int = 6,
     nonneg_mmax: int = 8,
@@ -421,7 +407,7 @@ def cubature_suite(
     for m in range(1, mmax + 1):
         families = {
             "legendre": legendre_latitudes(m),
-            "equispaced": _equispaced_latitudes(m),
+            "equispaced": equispaced_latitudes(m),
             "seeded": _symmetric_thetas(m, rng),
         }
         for family, lats in families.items():
@@ -454,7 +440,7 @@ def cubature_suite(
         # agreement with interpolation through the plan with one group
         n = 2 * m - 1
         plan = PartitionPlan(n=n, lambdas=((n + 1) // 2,))
-        rule = build_rule(legendre_latitudes(m))
+        rule = legendre_rule(m)
         north = list(rule.latitudes[:m])
         nodes = build_nodeset(plan, [north])
         f = lambda th, ph: math.exp(math.cos(th))
@@ -472,9 +458,8 @@ def cubature_suite(
         wmin = min(rule.weights)
         rows.append(_row("cubature", f"m{m}-legendre", "min_weight", wmin, 0.0, wmin >= 0.0))
 
-    clustered = [math.acos(c) for c in (0.95, 0.9)]
-    clustered = clustered + [_PI - th for th in reversed(clustered)]
-    wmin = min(build_rule(sorted(clustered)).weights)
+    clustered = mirror([math.acos(c) for c in (0.95, 0.9)])
+    wmin = min(build_rule(clustered).weights)
     rows.append(_row("cubature", "m2-clustered", "min_weight", wmin, "", None))
 
     for m in range(1, trig_mmax + 1):

@@ -151,6 +151,79 @@ def test_interpolate_malformed_csv_names_line(tmp_path: Path):
     assert ":3:" in res.stderr  # failing line number
 
 
+def test_interpolate_nan_data_is_bad_input(tmp_path: Path):
+    nodes_path = tmp_path / "nodes.json"
+    run_cli("gen-nodes", "--n", "3", "--plan", "2", "--out", str(nodes_path))
+    data = tmp_path / "nan.csv"
+    data.write_text("index,value\n" + "".join(f"{i},{'nan' if i == 7 else 1.0}\n" for i in range(16)))
+    res = run_cli(
+        "interpolate",
+        "--nodes",
+        str(nodes_path),
+        "--data",
+        str(data),
+        "--out-coeffs",
+        str(tmp_path / "c.json"),
+        "--out-report",
+        str(tmp_path / "r.json"),
+    )
+    assert res.returncode == 2
+    assert "finite" in res.stderr and "Traceback" not in res.stderr
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda data: data.update(lambdas=3),
+        lambda data: data["groups"][0]["latitudes"][0].pop("alpha"),
+    ],
+    ids=["lambdas-not-a-list", "missing-key"],
+)
+def test_interpolate_malformed_nodeset_is_bad_input(tmp_path: Path, edit):
+    nodes_path = tmp_path / "nodes.json"
+    run_cli("gen-nodes", "--n", "3", "--plan", "2", "--out", str(nodes_path))
+    data = json.loads(nodes_path.read_text())
+    edit(data)
+    nodes_path.write_text(json.dumps(data))
+    res = run_cli(
+        "interpolate",
+        "--nodes",
+        str(nodes_path),
+        "--function",
+        "one",
+        "--out-coeffs",
+        str(tmp_path / "c.json"),
+        "--out-report",
+        str(tmp_path / "r.json"),
+    )
+    assert res.returncode == 2
+    assert "malformed node set" in res.stderr and "Traceback" not in res.stderr
+
+
+@pytest.mark.parametrize(
+    "command, lats",
+    [
+        (["gen-nodes", "--n", "3", "--plan", "2"], [[0.5, "north"]]),
+        (["cubature", "--m", "1"], [0.5, "south"]),
+    ],
+    ids=["gen-nodes", "cubature"],
+)
+def test_non_numeric_latitude_file_is_bad_input(tmp_path: Path, command, lats):
+    lat_file = tmp_path / "lats.json"
+    lat_file.write_text(json.dumps(lats))
+    res = run_cli(
+        *command,
+        "--latitudes",
+        "file",
+        "--lat-file",
+        str(lat_file),
+        "--out" if command[0] == "gen-nodes" else "--out-rule",
+        str(tmp_path / "out.json"),
+    )
+    assert res.returncode == 2
+    assert "numbers" in res.stderr and "Traceback" not in res.stderr
+
+
 def test_interpolate_eval_grid(tmp_path: Path):
     nodes_path = tmp_path / "nodes.json"
     run_cli("gen-nodes", "--n", "3", "--plan", "2", "--out", str(nodes_path))

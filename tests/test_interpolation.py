@@ -59,6 +59,14 @@ def test_example_nodeset_is_full_rank():
     assert math.isfinite(cert.log_abs_det)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_problem_rejects_non_finite_data(bad):
+    data = [1.0] * 16
+    data[5] = bad
+    with pytest.raises(InputError, match="index 5"):
+        InterpolationProblem(nodes=example_nodes(), data=tuple(data))
+
+
 def test_solve_constant_data():
     nodes = example_nodes()
     report = solve(InterpolationProblem(nodes=nodes, data=(1.0,) * 16))

@@ -12,12 +12,16 @@ from sphinterp import (
     PartitionPlan,
     azimuth_grid,
     build_nodeset,
+    build_rule,
     default_latitudes,
     dimension_identity_check,
     enumerate_partitions,
+    factor_step,
     legendre_latitudes,
     seeded_latitudes,
+    zero_spherical,
 )
+from sphinterp.nodes import LatitudeRing, NodeGroup
 
 PI = math.pi
 
@@ -257,3 +261,42 @@ def test_nodeset_json_contains_contract_fields():
     group = data["groups"][0]
     assert group["k"] == 1 and group["s"] == 2
     assert [lat["index"] for lat in group["latitudes"]] == [1, 2, 3, 4]
+
+
+def test_nodeset_rejects_ring_alpha_that_differs_from_its_grid():
+    plan = PartitionPlan(n=3, lambdas=(2,))
+    group = build_nodeset(plan, [[PI / 6, PI / 3]]).groups[0]
+    south = group.rings[3]
+    # tagged unrotated but carrying the rotated grid: to_json_dict would
+    # record alpha 0, and reading that back would move the points
+    relabeled = LatitudeRing(theta=south.theta, alpha=0.0, grid=south.grid)
+    rings = group.rings[:3] + (relabeled,)
+    with pytest.raises(InputError, match="alpha"):
+        NodeSet(plan=plan, groups=(NodeGroup(index=1, s=group.s, rings=rings),))
+
+
+def _nodeset_with_mirror_error(error):
+    plan = PartitionPlan(n=3, lambdas=(2,))
+    data = build_nodeset(plan, [[PI / 6, PI / 3]]).to_json_dict()
+    data["groups"][0]["latitudes"][3]["theta"] += error
+    NodeSet.from_json_dict(data)
+
+
+def _rule_with_mirror_error(error):
+    build_rule([PI / 6, PI / 3, PI - PI / 3, PI - PI / 6 + error])
+
+
+def _factor_step_with_mirror_error(error):
+    factor_step(zero_spherical(3), m=2, lam=2, thetas=[PI / 6, PI / 3, PI - PI / 3, PI - PI / 6 + error])
+
+
+@pytest.mark.parametrize(
+    "check", [_nodeset_with_mirror_error, _rule_with_mirror_error, _factor_step_with_mirror_error]
+)
+@pytest.mark.parametrize("error, accepted", [(5e-15, True), (5e-13, False)])
+def test_mirror_tolerance_is_shared(check, error, accepted):
+    if accepted:
+        check(error)
+    else:
+        with pytest.raises(InputError, match="mirror"):
+            check(error)
