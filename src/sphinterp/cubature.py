@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Sequence
 
 import numpy as np
@@ -50,8 +49,9 @@ class CubatureRule:
             raise InputError("m must be a positive integer")
         if len(self.latitudes) != 2 * self.m or len(self.weights) != 2 * self.m:
             raise InputError(f"need {2 * self.m} latitudes and weights")
+        check_mirrored(self.latitudes)
         total = sum(self.weights)
-        if abs(total - 2.0) > 1e-12:
+        if not abs(total - 2.0) <= 1e-12:
             raise InputError(f"weights must sum to 2, got {total!r}")
 
     def rings(self) -> tuple[LatitudeRing, ...]:
@@ -78,47 +78,31 @@ class CubatureRule:
 
     @staticmethod
     def from_json_dict(data: dict) -> "CubatureRule":
-        return CubatureRule(
-            m=int(data["m"]),
-            latitudes=tuple(float(t) for t in data["latitudes"]),
-            weights=tuple(float(w) for w in data["weights"]),
-        )
-
-
-def _cardinal_integral_weights(grid: Sequence[float]) -> list[float]:
-    """Integrals over [-1, 1] of the Lagrange cardinals, in exact arithmetic.
-
-    The grid values are floats, hence exact rationals; building the cardinal
-    numerators and their moments over the field of fractions makes the
-    weights exact up to the final float conversion, so they sum to 2 to
-    within a few ulps even for 16 clustered points.
-    """
-    pts = [Fraction(c) for c in grid]
-    weights = []
-    for i, xi in enumerate(pts):
-        num = [Fraction(1)]
-        den = Fraction(1)
-        for j, xj in enumerate(pts):
-            if j == i:
-                continue
-            num = [Fraction(0)] + num
-            for k in range(len(num) - 1):
-                num[k] -= xj * num[k + 1]
-            den *= xi - xj
-        integral = sum(2 * c / (k + 1) for k, c in enumerate(num) if k % 2 == 0)
-        weights.append(float(integral / den))
-    return weights
+        try:
+            m = int(data["m"])
+            latitudes = tuple(float(t) for t in data["latitudes"])
+            weights = tuple(float(w) for w in data["weights"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise InputError(f"malformed cubature rule: {type(exc).__name__}: {exc}") from None
+        return CubatureRule(m=m, latitudes=latitudes, weights=weights)
 
 
 def build_rule(latitudes: Sequence[float]) -> CubatureRule:
-    """Weights from exact integration of the Lagrange cardinals.
+    """Interpolatory weights from the even Legendre moment system.
 
     ``latitudes`` must be 2m distinct angles in (0, pi) with the mirror
-    symmetry theta_{2m+1-i} = pi - theta_i (see ``check_mirrored``).
+    symmetry theta_{2m+1-i} = pi - theta_i (see ``check_mirrored``). The
+    weights of mirrored latitudes are equal, so the odd moments vanish and
+    the m northern weights solve sum_i w_i P_2j(cos theta_i) = delta_j0 for
+    j = 0..m-1 (Golub & Welsch, Math. Comp. 1969); the southern weights are
+    their mirrored copy.
     """
     ths = check_mirrored(latitudes)
-    weights = tuple(_cardinal_integral_weights([math.cos(t) for t in ths]))
-    return CubatureRule(m=len(ths) // 2, latitudes=tuple(ths), weights=weights)
+    m = len(ths) // 2
+    even = np.polynomial.legendre.legvander(np.cos(ths[:m]), 2 * m - 2)[:, ::2]
+    north = np.linalg.solve(even.T, np.eye(m)[0])
+    weights = tuple(float(w) for w in np.concatenate([north, north[::-1]]))
+    return CubatureRule(m=m, latitudes=tuple(ths), weights=weights)
 
 
 def legendre_rule(m: int) -> CubatureRule:
@@ -156,6 +140,8 @@ def trig_quadrature_check(
         raise InputError("alpha must be 0 or 1")
     if p_degree < 0:
         raise InputError("p_degree must be nonnegative")
+    if trials < 1:
+        raise InputError(f"trials must be a positive integer, got {trials}")
     rng = np.random.default_rng(seed)
     phis = np.array(azimuth_grid(m, alpha).angles)
     worst = 0.0

@@ -327,13 +327,15 @@ def factor_step(
         raise InputError(f"need {2 * lam} latitudes, got {len(ths)}")
 
     bound = vanish_tol * max(_reference_sup(T), _TINY)
-    for th, ph in (pt for ring in mirrored_grid(ths, m) for pt in ring.points()):
-        v = abs(float(T.eval(th, ph)))
-        if v > bound:
-            raise InputError(
-                f"input does not vanish at grid node theta={th!r}, phi={ph!r}: "
-                f"|T| = {v:.3e} exceeds {bound:.3e}"
-            )
+    th, ph = np.array([pt for ring in mirrored_grid(ths, m) for pt in ring.points()]).T
+    vals = np.abs(T.eval(th, ph))
+    bad = np.flatnonzero(vals > bound)
+    if bad.size:
+        i = bad[0]
+        raise InputError(
+            f"input does not vanish at grid node theta={float(th[i])!r}, "
+            f"phi={float(ph[i])!r}: |T| = {vals[i]:.3e} exceeds {bound:.3e}"
+        )
 
     roots = [math.cos(th) for th in ths]
     new_deg = s_deg - 2 * lam

@@ -138,8 +138,10 @@ def poisedness_certificate(nodes: NodeSet, trials: int = 8, seed: int = 0) -> Ce
     """Numerical poisedness check; failure is an outcome, not an exception.
 
     PASS requires a finite log|det| and relative residuals at most
-    ``RESIDUAL_TOL`` over ``trials`` random right-hand sides.
+    ``RESIDUAL_TOL`` over ``trials`` (at least one) random right-hand sides.
     """
+    if trials < 1:
+        raise InputError(f"trials must be a positive integer, got {trials}")
     matrix = assemble_matrix(nodes)
     (lu, piv), pivot_min, cond = _factor(matrix)
     diag = np.diag(lu)

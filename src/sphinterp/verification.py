@@ -134,7 +134,7 @@ def poisedness_suite(
                 )
             )
             rows.append(_row("poisedness", case, "condition_estimate", cert.condition_estimate, "", None))
-            max_res = max(cert.residuals) if cert.residuals else 0.0
+            max_res = max(cert.residuals)
             rows.append(_row("poisedness", case, "max_rhs_residual", max_res, TOL_RESIDUAL, max_res <= TOL_RESIDUAL))
 
             planted = random_spherical(n, rng)

@@ -2,7 +2,8 @@
 
 Everything here deliberately avoids the package's own computation paths:
 determinants are expanded by cofactors, derivatives come from exact
-rational finite differences, and points come from a jittered grid with a
+rational finite differences, cubature weights come from exact rational
+Lagrange cardinals, and points come from a jittered grid with a
 guaranteed separation.
 """
 
@@ -24,6 +25,30 @@ def det_cofactor(rows) -> float:
         minor = [r[:j] + r[j + 1 :] for r in rows[1:]]
         total += (-1) ** j * rows[0][j] * det_cofactor(minor)
     return total
+
+
+def cardinal_integral_weights(grid) -> list[float]:
+    """Integrals over [-1, 1] of the Lagrange cardinals, in exact arithmetic.
+
+    The grid values are floats, hence exact rationals; building the cardinal
+    numerators and their moments over the field of fractions makes the
+    weights exact up to the final float conversion.
+    """
+    pts = [Fraction(c) for c in grid]
+    weights = []
+    for i, xi in enumerate(pts):
+        num = [Fraction(1)]
+        den = Fraction(1)
+        for j, xj in enumerate(pts):
+            if j == i:
+                continue
+            num = [Fraction(0)] + num
+            for k in range(len(num) - 1):
+                num[k] -= xj * num[k + 1]
+            den *= xi - xj
+        integral = sum(2 * c / (k + 1) for k, c in enumerate(num) if k % 2 == 0)
+        weights.append(float(integral / den))
+    return weights
 
 
 def jittered_points(count: int, rng: np.random.Generator) -> list[float]:

@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sphinterp import NodeSet, random_spherical
+from sphinterp import NodeSet, SphericalPoly, UnivariatePoly, random_spherical
 
 
 def run_cli(*args, **kwargs):
@@ -361,3 +362,91 @@ def test_verify_lemmas_cli_example():
     res = run_cli("verify", "--suite", "lemmas", "--m", "4", "--trials", "50")
     assert res.returncode == 0
     assert "checks passed" in res.stdout
+
+
+def test_non_integer_seed_env_is_bad_input():
+    env = dict(os.environ, SPHINTERP_SEED="abc")
+    res = run_cli("verify", "--suite", "dimension", "--smax", "4", env=env)
+    assert res.returncode == 2
+    assert "SPHINTERP_SEED" in res.stderr
+    assert "Traceback" not in res.stderr
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("--suite", "factorization", "--m", "0"),
+        ("--suite", "lemmas", "--m", "0"),
+        ("--suite", "poisedness", "--trials", "0"),
+    ],
+)
+def test_verify_rejects_nonpositive_m_and_trials(args):
+    res = run_cli("verify", *args)
+    assert res.returncode == 2
+    assert "must be positive" in res.stderr
+    assert "Traceback" not in res.stderr
+
+
+def test_verify_with_no_checked_row_is_bad_input():
+    res = run_cli("verify", "--suite", "dimension", "--smax", "0")
+    assert res.returncode == 2
+    assert "no case to check" in res.stderr
+
+
+def test_interpolate_rejects_nonpositive_grid_size(tmp_path: Path):
+    nodes_path = tmp_path / "nodes.json"
+    run_cli("gen-nodes", "--n", "3", "--plan", "2", "--out", str(nodes_path))
+    grid = tmp_path / "grid.csv"
+    res = run_cli(
+        "interpolate",
+        "--nodes",
+        str(nodes_path),
+        "--function",
+        "z",
+        "--out-coeffs",
+        str(tmp_path / "c.json"),
+        "--out-report",
+        str(tmp_path / "r.json"),
+        "--eval-grid",
+        str(grid),
+        "--grid-size",
+        "0",
+    )
+    assert res.returncode == 2
+    assert "--grid-size" in res.stderr
+    assert not grid.exists()
+
+
+def test_eval_grid_matches_pointwise_evaluation(tmp_path: Path):
+    nodes_path = tmp_path / "nodes.json"
+    run_cli("gen-nodes", "--n", "5", "--plan", "2,1", "--out", str(nodes_path))
+    coeffs, grid = tmp_path / "c.json", tmp_path / "grid.csv"
+    res = run_cli(
+        "interpolate",
+        "--nodes",
+        str(nodes_path),
+        "--function",
+        "band2",
+        "--out-coeffs",
+        str(coeffs),
+        "--out-report",
+        str(tmp_path / "r.json"),
+        "--eval-grid",
+        str(grid),
+        "--grid-size",
+        "5",
+    )
+    assert res.returncode == 0, res.stderr
+    c = json.loads(coeffs.read_text())
+    sol = SphericalPoly(
+        degree=c["n"],
+        a=tuple(UnivariatePoly(tuple(p)) for p in c["a"]),
+        b=tuple(UnivariatePoly(tuple(p)) for p in c["b"]),
+    )
+    rows = list(csv.reader(grid.open()))[1:]
+    assert len(rows) == 5 * 10
+    for k, (th, ph, val) in enumerate(rows):
+        i, j = divmod(k, 10)
+        assert float(th) == (i + 0.5) * math.pi / 5
+        assert float(ph) == j * math.pi / 5
+        assert float(val) == pytest.approx(sol.eval(float(th), float(ph)), abs=1e-13)

@@ -16,15 +16,19 @@ from sphinterp import (
     basis_index_order,
     build_nodeset,
     build_rule,
+    equispaced_latitudes,
     exactness_certificate,
     integrate_unit_interval,
     legendre_latitudes,
     legendre_rule,
     nonnegativity_check,
+    seeded_latitudes,
     solve,
     trig_quadrature_check,
 )
 from sphinterp.verification import analytic_basis_integral
+
+from helpers import cardinal_integral_weights
 
 PI = math.pi
 
@@ -49,6 +53,34 @@ def test_m2_weights_match_direct_cardinal_integrals():
             2.0 * c[3 - j] / (j + 1) for j in range(4) if j % 2 == 0
         )
         assert rule.weights[i] == pytest.approx(integral, rel=1e-10)
+
+
+def _oracle_latitudes(family, m):
+    if family == "equispaced":
+        return equispaced_latitudes(m)
+    if family == "seeded":
+        return symmetric(seeded_latitudes(PartitionPlan(n=2 * m - 1, lambdas=(m,)), 0)[0])
+    return symmetric([math.acos(c) for c in (0.95, 0.9)])
+
+
+@pytest.mark.parametrize(
+    "family,m",
+    [(f, m) for f in ("equispaced", "seeded") for m in range(1, 9)]
+    + [("clustered", 2)]
+    + [("legendre", m) for m in (1, 8, 32, 64)],
+)
+def test_weights_match_exact_cardinals_and_leggauss(family, m):
+    if family == "legendre":
+        # against numpy's Gauss-Legendre weights, which are symmetric
+        _, gauss = np.polynomial.legendre.leggauss(2 * m)
+        weights = np.array(legendre_rule(m).weights)
+        assert np.max(np.abs(weights - gauss)) <= 1e-14
+        return
+    lats = _oracle_latitudes(family, m)
+    exact = np.array(cardinal_integral_weights([math.cos(t) for t in lats]))
+    weights = np.array(build_rule(lats).weights)
+    scale = max(1.0, float(np.max(np.abs(exact))))
+    assert np.max(np.abs(weights - exact)) <= 1e-12 * scale
 
 
 def test_weight_symmetry_for_symmetric_latitudes():
@@ -179,6 +211,36 @@ def test_rule_json_roundtrip():
     assert back.m == rule.m
     assert back.latitudes == rule.latitudes
     assert back.weights == rule.weights
+
+
+def test_rule_rejects_latitudes_that_do_not_mirror():
+    with pytest.raises(InputError, match="mirror"):
+        CubatureRule(m=1, latitudes=(0.3, 0.5), weights=(1.0, 1.0))
+
+
+def test_rule_rejects_nan_weights():
+    with pytest.raises(InputError, match="sum to 2"):
+        CubatureRule(m=1, latitudes=(0.3, PI - 0.3), weights=(math.nan, 1.0))
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"m": 1},
+        {"m": "one", "latitudes": [0.3, PI - 0.3], "weights": [1.0, 1.0]},
+        {"m": 1, "latitudes": 0.3, "weights": [1.0, 1.0]},
+        {"m": 1, "latitudes": ["north", "south"], "weights": [1.0, 1.0]},
+        [1, 2],
+    ],
+)
+def test_rule_from_json_dict_malformed_is_input_error(data):
+    with pytest.raises(InputError):
+        CubatureRule.from_json_dict(data)
+
+
+def test_trig_quadrature_rejects_zero_trials():
+    with pytest.raises(InputError, match="trials"):
+        trig_quadrature_check(1, 2, 0, trials=0)
 
 
 def test_integrating_interpolant_matches_rule():

@@ -12,6 +12,7 @@ from sphinterp import (
     InputError,
     InternalInconsistencyError,
     PartitionPlan,
+    SphericalPoly,
     build_nodeset,
     chain_kernel_certificate,
     chebyshev_collocation_det,
@@ -337,6 +338,13 @@ def test_factor_step_rejects_nonvanishing_input():
     with pytest.raises(InputError) as exc:
         factor_step(T, m=2, lam=2, thetas=[0.5, 0.8, PI - 0.8, PI - 0.5])
     assert "vanish" in str(exc.value)
+
+
+def test_factor_step_names_first_nonvanishing_node():
+    T = SphericalPoly(degree=3, a=(poly([1.0]),) + (zero(),) * 3, b=(zero(),) * 4)
+    with pytest.raises(InputError) as exc:
+        factor_step(T, m=2, lam=2, thetas=[0.5, 0.8, PI - 0.8, PI - 0.5])
+    assert "theta=0.5, phi=0.0:" in str(exc.value)
 
 
 def test_factor_step_parameter_validation():

@@ -202,6 +202,12 @@ def test_alpha_bypass_outcome_recorded_not_asserted():
     assert cert.pivot_min >= 0.0
 
 
+def test_certificate_rejects_zero_trials():
+    # no right-hand side tried means nothing certified
+    with pytest.raises(InputError, match="trials"):
+        poisedness_certificate(example_nodes(), trials=0)
+
+
 def test_certificate_report_fields():
     cert = poisedness_certificate(example_nodes(), trials=4, seed=9)
     assert cert.passed
