@@ -3,9 +3,8 @@
 Structured artifacts are JSON (node sets, rules, reports) and tabular data
 is CSV. All angles are serialized in radians at full double precision, and
 every command is deterministic given its flags and seed, so repeated runs
-produce byte-identical files, except for the last digits of the condition
-estimate of a large interpolation problem. The environment variable
-SPHINTERP_SEED overrides the default seed.
+produce byte-identical files. The environment variable SPHINTERP_SEED
+overrides the default seed.
 """
 
 from __future__ import annotations
@@ -145,6 +144,8 @@ def _read_data_csv(path: str, count: int) -> list[float]:
 def cmd_interpolate(args) -> int:
     if args.grid_size < 1:
         raise InputError(f"--grid-size must be a positive integer, got {args.grid_size}")
+    if not (math.isfinite(args.residual_tol) and args.residual_tol >= 0.0):
+        raise InputError(f"--residual-tol must be finite and nonnegative, got {args.residual_tol!r}")
     nodes = NodeSet.from_json_dict(_read_json(args.nodes))
     count = nodes.count()
     if args.function is not None:

@@ -24,8 +24,10 @@ class DivisibilityError(ArithmeticError):
 class PoisednessError(RuntimeError):
     """Raised when a collocation matrix is singular to working precision.
 
-    ``pivot_min`` distinguishes an exactly singular matrix (invalid input)
-    from a conditioning collapse (tiny but nonzero pivot).
+    ``condition_estimate`` is infinite for an exactly singular matrix
+    (invalid input) and finite but past the float64 limit for a
+    conditioning collapse; ``pivot_min`` is the smallest singular value
+    among the solver's diagonal blocks.
     """
 
     def __init__(self, message: str, pivot_min: float, condition_estimate: float):

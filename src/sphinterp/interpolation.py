@@ -1,28 +1,54 @@
 """Collocation assembly, interpolation solves, and poisedness certificates.
 
-The collocation matrix is dense, (n+1)**2 square, over the monomial-band
-basis in canonical order. Solves use LU with partial pivoting plus one step
-of iterative refinement; the certificate reports log|det| from the LU
-factors, the smallest pivot, a 1-norm condition estimate, and residuals
-over random right-hand sides. Desk scale is n <= 13 (196 x 196).
+The solver runs the factorization behind the poisedness theorem forward,
+one group of the plan at a time, and never assembles the collocation
+matrix. Group g sits at degree d_g with 2 lambda_g latitudes of 2 s_g
+azimuths each. With Pi_g(t) = prod_i (t - cos theta_i) over its latitudes,
+the degree-d_g space splits as V_g + Pi_g * P_(d_g - 2 lambda_g), where V_g
+holds the band polynomials of t-degree below 2 lambda_g. The second part
+vanishes on group g, so the group's values determine the V_g part alone:
+
+* an orthonormal real FFT along each ring splits that solve by azimuthal
+  frequency; the class {p, 2 s_g - p} is one 4 lambda_g square block, the
+  classes 0 and s_g are 2 lambda_g square, and each ring keeps its own
+  azimuth phase; one batched ``np.linalg.solve`` handles the blocks;
+* the V_g part is subtracted at the later rings, their values are divided
+  by Pi_g(cos theta), and the chain recurses at degree d_g - 2 lambda_g;
+* the monomial bands are rebuilt as a_k = r_k + Pi_g q_k.
+
+Several right-hand sides go through one pass as columns. Reported numbers:
+
+* ``pivot_min``: the smallest singular value among the diagonal blocks of
+  that factorization, the frequency blocks with the rows of each ring
+  scaled by the earlier Pi at its latitude;
+* ``condition_estimate``: kappa = ||A||_inf * max ||A^-1 f||_inf / ||f||_inf
+  over three fixed-seed +-1 probe columns solved in the same pass, a lower
+  bound on the infinity-norm condition number; ||A||_inf comes from
+  node-wise row sums;
+* ``log_abs_det`` and ``det_sign`` of the dense collocation matrix (rows in
+  node order, columns in canonical basis order), from the block
+  determinants, the Pi_g row factors and the permutations between the two
+  orders; the orthonormal ring transforms contribute nothing.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
-from scipy.linalg.lapack import dgecon
 
 from .errors import InputError, PoisednessError
 from .nodes import NodeSet
-from .spherical import SphericalPoly, spherical_from_vector
+from .polynomials import from_roots
+from .spherical import SphericalPoly, basis_index_order, spherical_from_vector
 
 RESIDUAL_TOL = 1e-8  # relative residual bound certified by solve/certificate
+
+_PROBES = 3  # +-1 probe columns behind the condition estimate
+_PROBE_SEED = 20040  # fixed, so the estimate is reproducible
+_UNIT_ROUNDOFF = np.finfo(float).eps / 2.0
 
 
 @dataclass(frozen=True)
@@ -87,47 +113,283 @@ def assemble_matrix(nodes: NodeSet) -> np.ndarray:
     return assemble_at_points(nodes.n, nodes.points())
 
 
-def _factor(matrix: np.ndarray):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", LinAlgWarning)
-        lu, piv = lu_factor(matrix)
-    diag = np.abs(np.diag(lu))
-    pivot_min = float(diag.min())
-    anorm = float(np.linalg.norm(matrix, 1))
-    rcond, _ = dgecon(lu, anorm, norm="1")
-    cond = float(1.0 / rcond) if rcond > 0.0 else math.inf
-    return (lu, piv), pivot_min, max(cond, 1.0)
+def _parity(perm: Sequence[int]) -> int:
+    """0 for an even permutation, 1 for an odd one."""
+    seen = [False] * len(perm)
+    cycles = 0
+    for start in range(len(perm)):
+        if not seen[start]:
+            cycles += 1
+            i = start
+            while not seen[i]:
+                seen[i] = True
+                i = perm[i]
+    return (len(perm) - cycles) % 2
 
 
-def _solve_refined(matrix, lu_piv, rhs):
-    x = lu_solve(lu_piv, rhs)
-    x = x + lu_solve(lu_piv, rhs - matrix @ x)
-    return x
+def _class_blocks(t, sn, alpha, lam: int, s: int, d: int):
+    """Frequency-class blocks of V_g at one group's rings, and their columns.
+
+    Rows are the orthonormal real DFT coefficients of the rings: for a
+    middle class p (0 < p < s) first sqrt(2) Re, then sqrt(2) Im, ring by
+    ring; for the classes 0 and s the real part. Columns are the V_g basis
+    elements t**j sin**k (cos, sin)(k phi) whose frequency k folds onto the
+    class; each comes with its (j, k, kind) index, kind 0 for cos.
+    """
+    m2 = 2 * s
+    beta = np.asarray(alpha) * math.pi / m2  # ring phase: phi_l = 2 pi l / m2 + beta
+    width = 2 * lam
+    p = np.arange(1, s)[:, None]
+    u = np.arange(width)[None, :]
+    w_low = np.minimum(width, d - p + 1)  # band p fills the first w_low slots,
+    low = u < w_low  # band 2s - p the rest
+    k = np.where(low, p, m2 - p)
+    j = np.where(low, u, u - w_low)
+    fold = np.where(low, 1.0, -1.0)[:, None, :]
+    mag = math.sqrt(m2 / 2.0) * t[None, :, None] ** j[:, None, :] * sn[None, :, None] ** k[:, None, :]
+    phase = k[:, None, :] * beta[None, :, None]
+    c = mag * np.cos(phase)
+    sp = mag * np.sin(phase)
+    mid = np.block([[c, sp], [fold * sp, -fold * c]])
+    mid_index = (np.concatenate([j, j], axis=1), np.concatenate([k, k], axis=1), np.repeat([0, 1], width))
+
+    root_m = math.sqrt(m2)
+    v = np.arange(lam)
+    nyquist = root_m * t[:, None] ** v * sn[:, None] ** s
+    end = np.stack(
+        [
+            root_m * t[:, None] ** np.arange(width),
+            np.concatenate(
+                [nyquist * np.cos(s * beta)[:, None], nyquist * np.sin(s * beta)[:, None]], axis=1
+            ),
+        ]
+    )
+    end_index = (
+        np.array([np.arange(width), np.concatenate([v, v])]),
+        np.array([[0] * width, [s] * width]),
+        np.array([[0] * width, [0] * lam + [1] * lam]),
+    )
+    return mid, mid_index, end, end_index
+
+
+@dataclass(frozen=True)
+class _Group:
+    lam: int
+    s: int
+    degree: int
+    nodes: slice
+    later_rings: slice
+    later_nodes: slice
+    mid: np.ndarray  # (s - 1, 4 lam, 4 lam) middle-class blocks
+    mid_index: tuple
+    end: np.ndarray  # (2, 2 lam, 2 lam): classes 0 and s
+    end_index: tuple
+    pi_coeffs: tuple[float, ...]  # Pi_g, low to high
+    pi_later: np.ndarray  # Pi_g(cos theta) at every later node
+    psi: np.ndarray  # product of the earlier Pi at this group's rings
+
+
+class _Chain:
+    """Tables of the chain solver for one node set, built once per call.
+
+    Coefficients live in arrays coef[j, k, kind, column]: the t**j term of
+    band k, kind 0 for cos (a_k) and 1 for sin (b_k).
+    """
+
+    def __init__(self, nodes: NodeSet):
+        plan = nodes.plan
+        n = plan.n
+        self.n = n
+        self.size = (n + 1) ** 2
+        # coef[self.canon] lists the coefficients in canonical basis order
+        order = [(j, k, int(kind == "sin")) for k, kind, j in basis_index_order(n)]
+        self.canon = tuple(np.array(v) for v in zip(*order))
+        rings = [ring for group in nodes.groups for ring in group.rings]
+        theta = np.array([ring.theta for ring in rings])
+        self.t = np.cos(theta)
+        powers = np.arange(n + 1)
+        self.t_pow = self.t[:, None] ** powers
+        self.s_pow = np.sin(theta)[:, None] ** powers
+        self.node_ring = np.repeat(np.arange(len(rings)), [ring.grid.count for ring in rings])
+        kphi = np.outer(np.concatenate([ring.grid.angles for ring in rings]), powers)
+        self.cos = np.cos(kphi)
+        self.sin = np.sin(kphi)
+        # row sums of |A|: sum_k s**k (sum_{j <= n - k} |t|**j) (|cos k phi| + |sin k phi|)
+        tails = np.cumsum(np.abs(self.t_pow), axis=1)[:, ::-1]
+        weights = (self.s_pow * tails)[self.node_ring]
+        self.norm_inf = float(np.max(np.sum(weights * (np.abs(self.cos) + np.abs(self.sin)), axis=1)))
+
+        self.groups: list[_Group] = []
+        r0 = o0 = 0
+        psi = np.ones(len(rings))
+        for group, lam, s, d in zip(nodes.groups, plan.lambdas, plan.azimuth_half_counts(), plan.degrees()):
+            r1 = r0 + 2 * lam
+            o1 = o0 + 2 * lam * 2 * s
+            t = self.t[r0:r1]
+            mid, mid_index, end, end_index = _class_blocks(
+                t, self.s_pow[r0:r1, 1], [ring.alpha for ring in group.rings], lam, s, d
+            )
+            pi_rings = np.prod(self.t[r1:, None] - t[None, :], axis=1)
+            self.groups.append(
+                _Group(
+                    lam=lam,
+                    s=s,
+                    degree=d,
+                    nodes=slice(o0, o1),
+                    later_rings=slice(r1, None),
+                    later_nodes=slice(o1, None),
+                    mid=mid,
+                    mid_index=mid_index,
+                    end=end,
+                    end_index=end_index,
+                    pi_coeffs=from_roots(t).coeffs,
+                    pi_later=pi_rings[self.node_ring[o1:] - r1],
+                    psi=psi[r0:r1],
+                )
+            )
+            psi[r1:] *= pi_rings
+            r0, o0 = r1, o1
+
+    def band_values(self, coef: np.ndarray, rings: slice) -> np.ndarray:
+        """s**k times each band polynomial at the given rings: [ring, k, kind, column]."""
+        width, bands = coef.shape[:2]
+        vals = self.t_pow[rings, :width] @ coef.reshape(width, -1)
+        return vals.reshape(-1, bands, 2, coef.shape[-1]) * self.s_pow[rings, :bands, None, None]
+
+    def node_values(self, bands: np.ndarray, rings: slice, nodes: slice) -> np.ndarray:
+        """Values at the given nodes from ``band_values`` taken at their rings."""
+        per_node = bands[self.node_ring[nodes] - rings.start]
+        k = bands.shape[1]
+        return np.einsum("nkc,nk->nc", per_node[:, :, 0], self.cos[nodes, :k]) + np.einsum(
+            "nkc,nk->nc", per_node[:, :, 1], self.sin[nodes, :k]
+        )
+
+    def evaluate(self, coef: np.ndarray) -> np.ndarray:
+        """Values of coefficient columns at every node, in node order."""
+        everything = slice(0, len(self.t))
+        return self.node_values(self.band_values(coef, everything), everything, slice(None))
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """Coefficients of the interpolants of the columns of rhs (node order).
+
+        Raises ``np.linalg.LinAlgError`` when a block is exactly singular.
+        """
+        cols = rhs.shape[1]
+        work = np.array(rhs, dtype=float)
+        parts = []
+        for g in self.groups:
+            spectra = np.fft.rfft(work[g.nodes].reshape(2 * g.lam, 2 * g.s, cols), axis=1, norm="ortho")
+            r = np.zeros((2 * g.lam, g.degree + 1, 2, cols))
+            if g.s > 1:
+                mid = spectra[:, 1 : g.s].transpose(1, 0, 2)
+                rhs_mid = math.sqrt(2.0) * np.concatenate([mid.real, mid.imag], axis=1)
+                r[g.mid_index] = np.linalg.solve(g.mid, rhs_mid)
+            r[g.end_index] = np.linalg.solve(g.end, np.stack([spectra[:, 0].real, spectra[:, g.s].real]))
+            parts.append(r)
+            if g.later_nodes.start < self.size:  # not the last group
+                if not np.all(g.pi_later):
+                    raise np.linalg.LinAlgError("a later ring shares a latitude cosine with this group")
+                done = self.node_values(self.band_values(r, g.later_rings), g.later_rings, g.later_nodes)
+                work[g.later_nodes] = (work[g.later_nodes] - done) / g.pi_later[:, None]
+        coef = None
+        for g, r in zip(reversed(self.groups), reversed(parts)):
+            full = np.zeros((g.degree + 1, g.degree + 1, 2, cols))
+            full[: 2 * g.lam] = r
+            if coef is not None:
+                width = coef.shape[0]
+                for shift, c in enumerate(g.pi_coeffs):
+                    full[shift : shift + width, :width] += c * coef
+            coef = full
+        return coef
+
+    def _blocks(self):
+        """Diagonal blocks of the chain factorization: frequency blocks times
+        the product of the earlier Pi at their rings."""
+        for g in self.groups:
+            if g.s > 1:
+                yield np.tile(g.psi, 2)[:, None] * g.mid
+            yield g.psi[:, None] * g.end
+
+    def pivot_min(self) -> float:
+        return min(float(np.linalg.svd(b, compute_uv=False).min()) for b in self._blocks())
+
+    def slogdet(self) -> tuple[float, int]:
+        """log|det| and the sign of the dense collocation matrix."""
+        log_abs = 0.0
+        odd = self._order_parity()
+        for b in self._blocks():
+            signs, logs = np.linalg.slogdet(b)
+            if np.any(signs == 0.0):
+                return -math.inf, 0
+            log_abs += float(np.sum(logs))
+            odd += int(np.count_nonzero(signs < 0.0))
+        return log_abs, -1 if odd % 2 else 1
+
+    def _order_parity(self) -> int:
+        """Parity of the row and column orders of the blocks against node and canonical order."""
+        canon = np.zeros((self.n + 1, 2, self.n + 1), dtype=int)
+        canon[self.canon[1], self.canon[2], self.canon[0]] = np.arange(self.size)
+        rows, cols = [], []
+        for g in self.groups:
+            m2 = 2 * g.s
+            ring = g.nodes.start + m2 * np.arange(2 * g.lam)
+            p = np.arange(1, g.s)[:, None, None]
+            part = np.arange(2)[None, :, None]
+            rows += [(ring + 2 * p - 1 + part).ravel(), ring, ring + m2 - 1]
+            offset = self.n - g.degree  # V_g coefficient j sits at t**(offset + j)
+            for j, k, kind in (g.mid_index, g.end_index):
+                cols.append(canon[k, kind, offset + j].ravel())
+        return _parity(np.concatenate(rows).tolist()) + _parity(np.concatenate(cols).tolist())
+
+
+def _probes(size: int) -> np.ndarray:
+    return np.random.default_rng(_PROBE_SEED).choice((-1.0, 1.0), size=(size, _PROBES))
+
+
+def _first_pass(chain: _Chain, f: np.ndarray) -> tuple[np.ndarray, float]:
+    """Solve the columns of f with the probes; return their coefficients and kappa."""
+    cols = f.shape[1]
+    coef = chain.solve(np.concatenate([f, _probes(chain.size)], axis=1))
+    cond = chain.norm_inf * float(np.max(np.abs(coef[..., cols:])))
+    return coef[..., :cols], max(cond, 1.0) if math.isfinite(cond) else math.inf
+
+
+def _refine(chain: _Chain, f: np.ndarray, coef: np.ndarray) -> np.ndarray:
+    return coef + chain.solve(f - chain.evaluate(coef))
 
 
 def solve(problem: InterpolationProblem) -> SolveReport:
     """Interpolate the data, reporting residual and conditioning.
 
-    Raises PoisednessError when the collocation matrix is singular to
-    working precision; for node sets built by ``build_nodeset`` this signals
-    either invalid input or a conditioning collapse (see ``pivot_min``).
+    Raises PoisednessError when a frequency block is exactly singular or
+    the condition estimate reaches 1 / (10 N u), the point where float64
+    can no longer certify an N-point solve; for node sets built by
+    ``build_nodeset`` this signals either invalid input or a conditioning
+    collapse (see ``pivot_min``).
     """
-    matrix = assemble_matrix(problem.nodes)
-    lu_piv, pivot_min, cond = _factor(matrix)
-    dim = matrix.shape[0]
-    floor = 10.0 * dim * np.finfo(float).eps * float(np.abs(matrix).max())
-    if pivot_min <= floor:
-        kind = "exactly singular" if pivot_min == 0.0 else "singular to working precision"
+    chain = _Chain(problem.nodes)
+    pivot_min = chain.pivot_min()
+    f = np.array(problem.data)[:, None]
+    try:
+        coef, cond = _first_pass(chain, f)
+    except np.linalg.LinAlgError:
         raise PoisednessError(
-            f"collocation matrix is {kind} (pivot {pivot_min:.3e})",
+            f"collocation matrix is exactly singular (smallest block singular value {pivot_min:.3e})",
+            pivot_min=pivot_min,
+            condition_estimate=math.inf,
+        ) from None
+    bound = 1.0 / (10.0 * chain.size * _UNIT_ROUNDOFF)
+    if not cond < bound:
+        raise PoisednessError(
+            f"collocation matrix is singular to working precision (condition "
+            f"estimate {cond:.3e} reaches 1/(10 N u) = {bound:.3e})",
             pivot_min=pivot_min,
             condition_estimate=cond,
         )
-    f = np.array(problem.data)
-    x = _solve_refined(matrix, lu_piv, f)
-    residual = float(np.max(np.abs(matrix @ x - f)))
+    coef = _refine(chain, f, coef)
+    residual = float(np.max(np.abs(chain.evaluate(coef) - f)))
     return SolveReport(
-        solution=spherical_from_vector(problem.nodes.n, x),
+        solution=spherical_from_vector(problem.nodes.n, coef[chain.canon][:, 0]),
         residual_inf=residual,
         condition_estimate=cond,
         pivot_min=pivot_min,
@@ -142,27 +404,21 @@ def poisedness_certificate(nodes: NodeSet, trials: int = 8, seed: int = 0) -> Ce
     """
     if trials < 1:
         raise InputError(f"trials must be a positive integer, got {trials}")
-    matrix = assemble_matrix(nodes)
-    (lu, piv), pivot_min, cond = _factor(matrix)
-    diag = np.diag(lu)
-    swaps = int(np.sum(piv != np.arange(len(piv))))
-    if pivot_min == 0.0:
-        log_abs_det = -math.inf
-        det_sign = 0
-    else:
-        log_abs_det = float(np.sum(np.log(np.abs(diag))))
-        det_sign = int((-1) ** swaps * np.prod(np.sign(diag)))
-
-    residuals = []
-    rng = np.random.default_rng(seed)
-    for _ in range(trials):
-        f = rng.uniform(-1.0, 1.0, size=matrix.shape[0])
-        if not math.isfinite(log_abs_det):
-            residuals.append(math.inf)
-            continue
-        x = _solve_refined(matrix, (lu, piv), f)
-        residuals.append(float(np.max(np.abs(matrix @ x - f)) / max(1.0, np.max(np.abs(f)))))
-
+    chain = _Chain(nodes)
+    pivot_min = chain.pivot_min()
+    log_abs_det, det_sign = chain.slogdet()
+    f = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(trials, chain.size)).T
+    residuals = [math.inf] * trials
+    cond = math.inf
+    if det_sign != 0:
+        try:
+            coef, cond = _first_pass(chain, f)
+            coef = _refine(chain, f, coef)
+        except np.linalg.LinAlgError:
+            log_abs_det, det_sign = -math.inf, 0
+        else:
+            res = np.max(np.abs(chain.evaluate(coef) - f), axis=0) / np.maximum(1.0, np.max(np.abs(f), axis=0))
+            residuals = [float(r) if math.isfinite(r) else math.inf for r in res]
     passed = math.isfinite(log_abs_det) and all(r <= RESIDUAL_TOL for r in residuals)
     return CertificateReport(
         passed=passed,

@@ -21,6 +21,7 @@ from .cubature import (
     legendre_rule,
     trig_quadrature_check,
 )
+from .errors import PoisednessError
 from .factorization import (
     SIGMA_TOL,
     ChebyshevTestCase,
@@ -110,7 +111,12 @@ def _symmetric_thetas(lam: int, rng: np.random.Generator) -> list[float]:
 def poisedness_suite(
     n: int, seed: int = 0, trials: int = 3, seeded_configs: int = 2
 ) -> list[dict]:
-    """Certificates, plant-and-recover, and chain agreement for every plan."""
+    """Certificates, plant-and-recover, and chain agreement for every plan.
+
+    A solve that raises ``PoisednessError`` becomes a failed
+    ``plant_solve_condition`` row carrying its condition estimate, so one
+    unsolvable case does not end the sweep.
+    """
     rows = []
     rng = np.random.default_rng(seed)
     for plan in enumerate_partitions(n):
@@ -142,13 +148,17 @@ def poisedness_suite(
             th = np.array([p[0] for p in pts])
             ph = np.array([p[1] for p in pts])
             data = planted.eval(th, ph)
-            report = solve(InterpolationProblem(nodes=nodes, data=tuple(data)))
-            ref = planted.coefficient_vector()
-            got = report.solution.coefficient_vector()
-            coeff_err = float(np.max(np.abs(got - ref)) / max(1.0, np.max(np.abs(ref))))
-            res_rel = report.residual_inf / max(1.0, float(np.max(np.abs(data))))
-            rows.append(_row("poisedness", case, "plant_coeff_err", coeff_err, TOL_PLANT_COEFF, coeff_err <= TOL_PLANT_COEFF))
-            rows.append(_row("poisedness", case, "plant_residual", res_rel, TOL_RESIDUAL, res_rel <= TOL_RESIDUAL))
+            try:
+                report = solve(InterpolationProblem(nodes=nodes, data=tuple(data)))
+            except PoisednessError as exc:
+                rows.append(_row("poisedness", case, "plant_solve_condition", exc.condition_estimate, "solve raised", False))
+            else:
+                ref = planted.coefficient_vector()
+                got = report.solution.coefficient_vector()
+                coeff_err = float(np.max(np.abs(got - ref)) / max(1.0, np.max(np.abs(ref))))
+                res_rel = report.residual_inf / max(1.0, float(np.max(np.abs(data))))
+                rows.append(_row("poisedness", case, "plant_coeff_err", coeff_err, TOL_PLANT_COEFF, coeff_err <= TOL_PLANT_COEFF))
+                rows.append(_row("poisedness", case, "plant_residual", res_rel, TOL_RESIDUAL, res_rel <= TOL_RESIDUAL))
 
             chain = chain_kernel_certificate(nodes, sigma_tol=SIGMA_TOL)
             rows.append(_row("poisedness", case, "chain_min_sigma", chain.min_scaled_sigma, SIGMA_TOL, None))

@@ -1,7 +1,9 @@
 """Independent oracles shared by the test modules.
 
 Everything here deliberately avoids the package's own computation paths:
-determinants are expanded by cofactors, derivatives come from exact
+determinants are expanded by cofactors, interpolation solves run dense LU
+on the assembled collocation matrix (in float64, or in extended precision
+as a reference for the float64 solvers), derivatives come from exact
 rational finite differences, cubature weights come from exact rational
 Lagrange cardinals, and points come from a jittered grid with a
 guaranteed separation.
@@ -25,6 +27,35 @@ def det_cofactor(rows) -> float:
         minor = [r[:j] + r[j + 1 :] for r in rows[1:]]
         total += (-1) ** j * rows[0][j] * det_cofactor(minor)
     return total
+
+
+def dense_solve(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Dense LU solve with one step of iterative refinement."""
+    x = np.linalg.solve(matrix, rhs)
+    return x + np.linalg.solve(matrix, rhs - matrix @ x)
+
+
+def extended_solve(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Gaussian elimination with partial pivoting in ``np.longdouble``.
+
+    Where long double is the x87 80-bit format (unit roundoff 5.4e-20) this
+    solves the float64 system about 2000 times more accurately than a
+    float64 LU, so it can referee between float64 solvers.
+    """
+    a = np.array(matrix, dtype=np.longdouble)
+    b = np.array(rhs, dtype=np.longdouble)
+    size = len(b)
+    for col in range(size):
+        piv = col + int(np.argmax(np.abs(a[col:, col])))
+        a[[col, piv]] = a[[piv, col]]
+        b[[col, piv]] = b[[piv, col]]
+        factors = a[col + 1 :, col] / a[col, col]
+        a[col + 1 :, col:] -= np.outer(factors, a[col, col:])
+        b[col + 1 :] -= factors * b[col]
+    x = np.zeros(size, dtype=np.longdouble)
+    for row in range(size - 1, -1, -1):
+        x[row] = (b[row] - a[row, row + 1 :] @ x[row + 1 :]) / a[row, row]
+    return x
 
 
 def cardinal_integral_weights(grid) -> list[float]:

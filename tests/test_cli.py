@@ -450,3 +450,69 @@ def test_eval_grid_matches_pointwise_evaluation(tmp_path: Path):
         assert float(th) == (i + 0.5) * math.pi / 5
         assert float(ph) == j * math.pi / 5
         assert float(val) == pytest.approx(sol.eval(float(th), float(ph)), abs=1e-13)
+
+
+def test_interpolate_report_is_byte_reproducible_at_n21(tmp_path: Path):
+    # the condition estimate used to drift in its last digits between runs
+    nodes_path = tmp_path / "nodes.json"
+    run_cli("gen-nodes", "--n", "21", "--plan", "11", "--out", str(nodes_path))
+    outputs = []
+    for run in ("a", "b"):
+        coeffs, report = tmp_path / f"coeffs-{run}.json", tmp_path / f"report-{run}.json"
+        res = run_cli(
+            "interpolate",
+            "--nodes",
+            str(nodes_path),
+            "--function",
+            "expz",
+            "--out-coeffs",
+            str(coeffs),
+            "--out-report",
+            str(report),
+        )
+        assert res.returncode == 0, res.stderr
+        outputs.append((coeffs.read_bytes(), report.read_bytes()))
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+def test_interpolate_rejects_bad_residual_tol_before_reading_nodes(tmp_path: Path, tol):
+    res = run_cli(
+        "interpolate",
+        "--nodes",
+        str(tmp_path / "missing.json"),
+        "--function",
+        "one",
+        "--residual-tol",
+        tol,
+        "--out-coeffs",
+        str(tmp_path / "c.json"),
+        "--out-report",
+        str(tmp_path / "r.json"),
+    )
+    assert res.returncode == 2
+    assert "--residual-tol" in res.stderr
+    assert "Traceback" not in res.stderr
+
+
+def test_import_leaves_scipy_unloaded():
+    code = "import sys, sphinterp, sphinterp.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "[]"
+
+
+def test_verify_poisedness_records_a_raising_solve_as_failure(tmp_path: Path, monkeypatch):
+    from sphinterp import PoisednessError, cli, verification
+
+    def raising_solve(problem):
+        raise PoisednessError("forced", pivot_min=1e-20, condition_estimate=3.5e20)
+
+    monkeypatch.setattr(verification, "solve", raising_solve)
+    out = tmp_path / "poisedness.csv"
+    assert cli.main(["verify", "--suite", "poisedness", "--n", "3", "--seed", "0", "--out", str(out)]) == 1
+    rows = list(csv.DictReader(out.open()))
+    raised = [r for r in rows if r["metric"] == "plant_solve_condition"]
+    assert len(raised) == 2 * 3  # two plans, three latitude configurations each
+    assert all(r["status"] == "fail" and float(r["value"]) == 3.5e20 for r in raised)
+    assert any(r["metric"] == "certificate" and r["status"] == "pass" for r in rows)

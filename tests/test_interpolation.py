@@ -16,11 +16,16 @@ from sphinterp import (
     basis_index_order,
     build_nodeset,
     default_latitudes,
+    enumerate_partitions,
     poisedness_certificate,
     random_spherical,
+    seeded_latitudes,
     solve,
 )
 from sphinterp.nodes import LatitudeRing, NodeGroup, NodeSet, azimuth_grid
+from sphinterp.verification import TOL_PLANT_COEFF
+
+from helpers import dense_solve, extended_solve
 
 PI = math.pi
 
@@ -179,10 +184,8 @@ def test_plant_and_recover_twenty_targets_per_plan(n):
             assert err < 1e-7, (plan.lambdas, err)
 
 
-def test_alpha_bypass_outcome_recorded_not_asserted():
-    # rotation removed: both hemispheres on the unrotated grid; the
-    # poisedness guarantee does not cover this set, so only record the
-    # certificate outcome
+def _bypassed_nodes():
+    # rotation removed: both hemispheres on the unrotated grid
     plan = PartitionPlan(n=3, lambdas=(1, 1))
     half = plan.azimuth_half_counts()
     lats = default_latitudes(plan)
@@ -196,8 +199,13 @@ def test_alpha_bypass_outcome_recorded_not_asserted():
             for t in reversed(group_lats)
         ]
         groups.append(NodeGroup(index=k + 1, s=s, rings=tuple(rings)))
-    bypassed = NodeSet(plan=plan, groups=tuple(groups))
-    cert = poisedness_certificate(bypassed, trials=2, seed=0)
+    return NodeSet(plan=plan, groups=tuple(groups))
+
+
+def test_alpha_bypass_outcome_recorded_not_asserted():
+    # the poisedness guarantee does not cover this set, so only record the
+    # certificate outcome
+    cert = poisedness_certificate(_bypassed_nodes(), trials=2, seed=0)
     assert isinstance(cert.passed, bool)
     assert cert.pivot_min >= 0.0
 
@@ -215,3 +223,95 @@ def test_certificate_report_fields():
     assert cert.condition_estimate >= 1.0
     assert len(cert.residuals) == 4
     assert all(r <= 1e-8 for r in cert.residuals)
+
+
+def test_alpha_bypass_nyquist_class_is_singular():
+    # sin(s phi) vanishes on every unrotated ring, so the frequency-s block
+    # has an identically zero column: the certificate fails without raising
+    nodes = _bypassed_nodes()
+    cert = poisedness_certificate(nodes, trials=2, seed=0)
+    assert not cert.passed
+    assert cert.log_abs_det == -math.inf and cert.det_sign == 0
+    assert cert.residuals == (math.inf, math.inf)
+    with pytest.raises(PoisednessError, match="exactly singular") as exc:
+        solve(InterpolationProblem(nodes=nodes, data=(1.0,) * 16))
+    assert exc.value.condition_estimate == math.inf
+
+
+def _coefficient_gap(x, ref) -> float:
+    return float(np.max(np.abs(x - ref)) / max(1.0, np.max(np.abs(ref))))
+
+
+def _chain_coefficients(nodes, data):
+    return solve(InterpolationProblem(nodes=nodes, data=tuple(data))).solution.coefficient_vector()
+
+
+@pytest.mark.parametrize("family", ["default", "seeded"])
+@pytest.mark.parametrize("n", [1, 3, 5, 7, 9])
+def test_chain_solve_matches_dense_oracle(n, family):
+    rng = np.random.default_rng(300 + n)
+    for plan in enumerate_partitions(n):
+        lats = default_latitudes(plan) if family == "default" else seeded_latitudes(plan, 7)
+        nodes = build_nodeset(plan, lats)
+        data = rng.uniform(-1.0, 1.0, nodes.count())
+        gap = _coefficient_gap(_chain_coefficients(nodes, data), dense_solve(assemble_matrix(nodes), data))
+        assert gap <= TOL_PLANT_COEFF, (plan.lambdas, gap)
+
+
+def test_single_group_chain_solve_matches_dense_oracle_n13():
+    plan = PartitionPlan(n=13, lambdas=(7,))
+    nodes = build_nodeset(plan, default_latitudes(plan))
+    data = np.random.default_rng(13).uniform(-1.0, 1.0, nodes.count())
+    gap = _coefficient_gap(_chain_coefficients(nodes, data), dense_solve(assemble_matrix(nodes), data))
+    assert gap <= TOL_PLANT_COEFF
+
+
+@pytest.mark.skipif(
+    np.finfo(np.longdouble).eps > 1e-18, reason="needs an extended-precision long double"
+)
+def test_single_group_chain_solve_matches_extended_oracle_n21():
+    # at n = 21 (condition 5e10) the float64 dense LU is itself off by up
+    # to about 1e-7, so elimination in extended precision is the reference
+    plan = PartitionPlan(n=21, lambdas=(11,))
+    nodes = build_nodeset(plan, default_latitudes(plan))
+    data = np.random.default_rng(21).uniform(-1.0, 1.0, nodes.count())
+    reference = extended_solve(assemble_matrix(nodes), data).astype(float)
+    assert _coefficient_gap(_chain_coefficients(nodes, data), reference) <= TOL_PLANT_COEFF
+
+
+@pytest.mark.parametrize("n", [1, 3, 5, 7])
+def test_log_det_and_sign_match_dense_slogdet(n):
+    for plan in enumerate_partitions(n):
+        nodes = build_nodeset(plan, default_latitudes(plan))
+        sign, logdet = np.linalg.slogdet(assemble_matrix(nodes))
+        cert = poisedness_certificate(nodes, trials=1, seed=0)
+        assert cert.det_sign == sign, plan.lambdas
+        assert cert.log_abs_det == pytest.approx(logdet, rel=1e-10, abs=1e-10), plan.lambdas
+
+
+@pytest.mark.parametrize("family", ["default", "seeded"])
+@pytest.mark.parametrize("n", [1, 3, 5, 7, 9])
+def test_condition_estimate_brackets_infinity_norm_condition(n, family):
+    for plan in enumerate_partitions(n):
+        lats = default_latitudes(plan) if family == "default" else seeded_latitudes(plan, 7)
+        nodes = build_nodeset(plan, lats)
+        matrix = assemble_matrix(nodes)
+        kappa = np.linalg.norm(matrix, np.inf) * np.linalg.norm(np.linalg.inv(matrix), np.inf)
+        report = solve(InterpolationProblem(nodes=nodes, data=(1.0,) * nodes.count()))
+        cert = poisedness_certificate(nodes, trials=1, seed=0)
+        assert report.condition_estimate == cert.condition_estimate
+        assert kappa / 100.0 <= report.condition_estimate <= kappa, (plan.lambdas, kappa)
+
+
+def test_solve_and_certificate_never_assemble(monkeypatch):
+    import sphinterp.interpolation as interpolation
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the collocation matrix was assembled")
+
+    monkeypatch.setattr(interpolation, "assemble_at_points", refuse)
+    plan = PartitionPlan(n=9, lambdas=(2, 1, 2))
+    nodes = build_nodeset(plan, default_latitudes(plan))
+    report = solve(InterpolationProblem(nodes=nodes, data=(1.0,) * nodes.count()))
+    assert report.residual_inf < 1e-10
+    assert poisedness_certificate(nodes, trials=2, seed=0).passed
