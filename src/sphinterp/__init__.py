@@ -22,6 +22,7 @@ from .errors import (
     InputError,
     InternalInconsistencyError,
     PoisednessError,
+    WeightSumError,
 )
 from .factorization import (
     ChainKernelCertificate,

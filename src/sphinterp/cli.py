@@ -19,7 +19,7 @@ import sys
 import numpy as np
 
 from .cubature import apply_rule, build_rule, exactness_certificate
-from .errors import InputError, PoisednessError
+from .errors import InputError, PoisednessError, WeightSumError
 from .interpolation import RESIDUAL_TOL, InterpolationProblem, solve
 from .nodes import (
     NodeSet,
@@ -341,6 +341,9 @@ def main(argv=None) -> int:
             f"condition={exc.condition_estimate:.3e})",
             file=sys.stderr,
         )
+        return 1
+    except WeightSumError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 1
     except (InputError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -36,5 +36,14 @@ class PoisednessError(RuntimeError):
         super().__init__(message)
 
 
+class WeightSumError(RuntimeError):
+    """Raised when computed cubature weights miss the sum 2 in float64.
+
+    The latitudes were valid; the moment solve lost the digits (its
+    weights grow into the 1e2..1e10 range on equispaced or jittered
+    latitudes from m = 16), so this is a numerical limit, not bad input.
+    """
+
+
 class InternalInconsistencyError(RuntimeError):
     """Raised when a guaranteed factorization step fails numerically."""

@@ -5,8 +5,9 @@ determinants are expanded by cofactors, interpolation solves run dense LU
 on the assembled collocation matrix (in float64, or in extended precision
 as a reference for the float64 solvers), derivatives come from exact
 rational finite differences, cubature weights come from exact rational
-Lagrange cardinals, and points come from a jittered grid with a
-guaranteed separation.
+Lagrange cardinals, cubature exactness errors come from the node weights
+applied to the dense collocation matrix, and points come from a jittered
+grid with a guaranteed separation.
 """
 
 from __future__ import annotations
@@ -15,6 +16,8 @@ from fractions import Fraction
 from math import factorial, isqrt
 
 import numpy as np
+
+from sphinterp import analytic_basis_integral, assemble_at_points, basis_index_order
 
 
 def det_cofactor(rows) -> float:
@@ -80,6 +83,20 @@ def cardinal_integral_weights(grid) -> list[float]:
         integral = sum(2 * c / (k + 1) for k, c in enumerate(num) if k % 2 == 0)
         weights.append(float(integral / den))
     return weights
+
+
+def dense_exactness_errors(rule) -> np.ndarray:
+    """Rule-minus-analytic integrals over the degree 2m - 1 basis, densely.
+
+    Applies the node weights to the full 4m**2 x 4m**2 collocation matrix,
+    in ``basis_index_order``: O(m**4) time and memory, so keep m small.
+    """
+    n = 2 * rule.m - 1
+    nodes = rule.nodes()
+    node_w = np.array([w for _, _, w in nodes])
+    rule_vals = node_w @ assemble_at_points(n, [(th, ph) for th, ph, _ in nodes])
+    exact = [analytic_basis_integral(k, j) for k, _kind, j in basis_index_order(n)]
+    return rule_vals - np.array(exact)
 
 
 def jittered_points(count: int, rng: np.random.Generator) -> list[float]:

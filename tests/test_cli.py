@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from sphinterp import NodeSet, SphericalPoly, UnivariatePoly, random_spherical
+from sphinterp.verification import TOL_EXACTNESS
 
 
 def run_cli(*args, **kwargs):
@@ -316,18 +317,59 @@ def test_cubature_rejects_asymmetric_file(tmp_path: Path):
 
 
 def test_cubature_byte_deterministic(tmp_path: Path):
-    a, b = tmp_path / "a.json", tmp_path / "b.json"
-    for path in (a, b):
-        run_cli(
+    runs = [(tmp_path / f"rule_{x}.json", tmp_path / f"cert_{x}.json") for x in "ab"]
+    for rule_path, cert_path in runs:
+        res = run_cli(
             "cubature",
             "--m",
-            "3",
+            "32",
             "--out-rule",
-            str(path),
+            str(rule_path),
             "--out-cert",
-            str(tmp_path / "cert.json"),
+            str(cert_path),
         )
-    assert a.read_bytes() == b.read_bytes()
+        assert res.returncode == 0, res.stderr
+    for first, second in zip(*runs):
+        assert first.read_bytes() == second.read_bytes()
+
+
+def test_cubature_m64_legendre_certifies(tmp_path: Path):
+    cert_path = tmp_path / "cert.json"
+    res = run_cli(
+        "cubature",
+        "--m",
+        "64",
+        "--latitudes",
+        "legendre",
+        "--out-rule",
+        str(tmp_path / "rule.json"),
+        "--out-cert",
+        str(cert_path),
+    )
+    assert res.returncode == 0, res.stderr
+    cert = json.loads(cert_path.read_text())
+    assert cert["basis_size"] == 128**2
+    assert cert["max_abs_error"] <= TOL_EXACTNESS
+
+
+def test_cubature_lost_weight_sum_is_numerical_failure(tmp_path: Path):
+    rule_path = tmp_path / "rule.json"
+    res = run_cli(
+        "cubature",
+        "--m",
+        "16",
+        "--latitudes",
+        "default",
+        "--out-rule",
+        str(rule_path),
+        "--out-cert",
+        str(tmp_path / "cert.json"),
+    )
+    assert res.returncode == 1
+    lines = res.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "sum to" in lines[0] and "Traceback" not in res.stderr
+    assert not rule_path.exists()
 
 
 def test_verify_poisedness_suite(tmp_path: Path):

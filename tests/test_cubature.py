@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,7 +11,9 @@ from sphinterp import (
     CubatureRule,
     InputError,
     InterpolationProblem,
+    LatitudeRing,
     PartitionPlan,
+    WeightSumError,
     apply_rule,
     basis_enumerate,
     basis_index_order,
@@ -26,9 +29,9 @@ from sphinterp import (
     solve,
     trig_quadrature_check,
 )
-from sphinterp.verification import analytic_basis_integral
+from sphinterp.verification import TOL_EXACTNESS, analytic_basis_integral
 
-from helpers import cardinal_integral_weights
+from helpers import cardinal_integral_weights, dense_exactness_errors
 
 PI = math.pi
 
@@ -190,6 +193,71 @@ def test_certificate_matches_apply_rule_route():
         assert report.errors[idx] == pytest.approx(direct, abs=1e-11)
 
 
+def _certificate_families(m):
+    plan = PartitionPlan(n=2 * m - 1, lambdas=(m,))
+    families = {"legendre": legendre_latitudes(m), "equispaced": equispaced_latitudes(m)}
+    for seed in range(3):
+        families[f"seeded{seed}"] = symmetric(seeded_latitudes(plan, seed)[0])
+    return families
+
+
+@pytest.mark.parametrize("m", range(1, 13))
+def test_ring_certificate_matches_dense_oracle(m):
+    checked = 0
+    for family, lats in _certificate_families(m).items():
+        try:
+            rule = build_rule(lats)
+        except WeightSumError:
+            continue
+        errors = np.array(exactness_certificate(rule).errors)
+        dense = dense_exactness_errors(rule)
+        scale = max(1.0, sum(abs(w) for w in rule.weights))
+        assert np.max(np.abs(errors - dense)) <= 1e-13 * scale, family
+        checked += 1
+    assert checked >= 2
+
+
+def test_certificate_never_assembles(monkeypatch):
+    import sphinterp.cubature as cubature
+    import sphinterp.interpolation as interpolation
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the collocation matrix was assembled")
+
+    monkeypatch.setattr(interpolation, "assemble_at_points", refuse)
+    # also catches a module-level import of the assembler into cubature
+    monkeypatch.setattr(cubature, "assemble_at_points", refuse, raising=False)
+    for lats in _certificate_families(4).values():
+        assert exactness_certificate(build_rule(lats)).max_abs_error < 1e-11
+
+
+def test_certificate_reads_the_rules_own_azimuths(monkeypatch):
+    # nudge one azimuth of one ring: the certificate must see the broken
+    # rule, as the dense oracle does, rather than assume exact trig sums
+    rule = legendre_rule(3)
+    rings = list(rule.rings())
+    grid = rings[1].grid
+    angles = (grid.angles[0] + 1e-3,) + grid.angles[1:]
+    rings[1] = LatitudeRing(rings[1].theta, rings[1].alpha, replace(grid, angles=angles))
+    monkeypatch.setattr(CubatureRule, "rings", lambda self: tuple(rings))
+    errors = np.array(exactness_certificate(rule).errors)
+    assert np.max(np.abs(errors)) > 1e-5
+    assert np.max(np.abs(errors - dense_exactness_errors(rule))) <= 1e-13
+
+
+def test_m64_legendre_rule_certifies():
+    report = exactness_certificate(legendre_rule(64))
+    assert len(report.errors) == 128**2
+    assert report.max_abs_error <= TOL_EXACTNESS
+
+
+@pytest.mark.parametrize("family", ["equispaced", "seeded0"])
+def test_build_rule_reports_lost_weight_sum_as_numerical_limit(family):
+    with pytest.raises(WeightSumError, match="sum to") as info:
+        build_rule(_certificate_families(16)[family])
+    assert not isinstance(info.value, InputError)
+
+
 @pytest.mark.parametrize("m", range(1, 9))
 def test_nonnegativity_at_legendre_latitudes(m):
     assert nonnegativity_check(m)
@@ -230,6 +298,7 @@ def test_rule_rejects_nan_weights():
         {"m": "one", "latitudes": [0.3, PI - 0.3], "weights": [1.0, 1.0]},
         {"m": 1, "latitudes": 0.3, "weights": [1.0, 1.0]},
         {"m": 1, "latitudes": ["north", "south"], "weights": [1.0, 1.0]},
+        {"m": 1, "latitudes": [0.3, PI - 0.3], "weights": [1.0, 1.0 + 1e-9]},
         [1, 2],
     ],
 )
