@@ -25,6 +25,7 @@ from .nodes import (
     NodeSet,
     PartitionPlan,
     build_nodeset,
+    check_mirrored,
     default_latitudes,
     equispaced_latitudes,
     legendre_latitudes,
@@ -206,7 +207,9 @@ def cmd_cubature(args) -> int:
     elif args.latitudes == "default":
         lats = equispaced_latitudes(args.m)
     else:
-        lats = _lat_file(args)
+        lats = check_mirrored(_lat_file(args))
+        if len(lats) != 2 * args.m:
+            raise InputError(f"--lat-file holds {len(lats)} latitudes, --m {args.m} needs {2 * args.m}")
     rule = build_rule(lats)
     cert = exactness_certificate(rule)
     _write_json(args.out_rule, rule.to_json_dict())

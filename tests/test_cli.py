@@ -11,15 +11,25 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import sphinterp
 from sphinterp import NodeSet, SphericalPoly, UnivariatePoly, random_spherical
 from sphinterp.verification import TOL_EXACTNESS
 
 
-def run_cli(*args, **kwargs):
+def package_env(env=None) -> dict:
+    """``env`` (default: this process's) with the tested package first on PYTHONPATH."""
+    env = dict(os.environ if env is None else env)
+    src = str(Path(sphinterp.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
+
+
+def run_cli(*args, env=None, **kwargs):
     return subprocess.run(
         [sys.executable, "-m", "sphinterp.cli", *args],
         capture_output=True,
         text=True,
+        env=package_env(env),
         **kwargs,
     )
 
@@ -316,6 +326,29 @@ def test_cubature_rejects_asymmetric_file(tmp_path: Path):
     assert "mirror" in res.stderr
 
 
+def test_cubature_rejects_file_that_disagrees_with_m(tmp_path: Path):
+    lat_file = tmp_path / "lats.json"
+    zeros, _ = np.polynomial.legendre.leggauss(8)
+    lat_file.write_text(json.dumps([math.acos(x) for x in zeros[::-1]]))
+    rule_path = tmp_path / "rule.json"
+    res = run_cli(
+        "cubature",
+        "--m",
+        "3",
+        "--latitudes",
+        "file",
+        "--lat-file",
+        str(lat_file),
+        "--out-rule",
+        str(rule_path),
+        "--out-cert",
+        str(tmp_path / "cert.json"),
+    )
+    assert res.returncode == 2
+    assert "--m 3 needs 6" in res.stderr and "Traceback" not in res.stderr
+    assert not rule_path.exists()
+
+
 def test_cubature_byte_deterministic(tmp_path: Path):
     runs = [(tmp_path / f"rule_{x}.json", tmp_path / f"cert_{x}.json") for x in "ab"]
     for rule_path, cert_path in runs:
@@ -539,7 +572,7 @@ def test_interpolate_rejects_bad_residual_tol_before_reading_nodes(tmp_path: Pat
 
 def test_import_leaves_scipy_unloaded():
     code = "import sys, sphinterp, sphinterp.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=package_env())
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == "[]"
 
@@ -558,3 +591,30 @@ def test_verify_poisedness_records_a_raising_solve_as_failure(tmp_path: Path, mo
     assert len(raised) == 2 * 3  # two plans, three latitude configurations each
     assert all(r["status"] == "fail" and float(r["value"]) == 3.5e20 for r in raised)
     assert any(r["metric"] == "certificate" and r["status"] == "pass" for r in rows)
+
+
+def test_verify_cubature_records_a_raising_solve_as_failure(tmp_path: Path):
+    from sphinterp import cli
+
+    # the n = 17 single-group Gauss-Legendre solve behind the m = 9
+    # interp_consistency row reaches the condition bound and raises
+    out = tmp_path / "cubature.csv"
+    assert cli.main(["verify", "--suite", "cubature", "--m", "9", "--trials", "2", "--seed", "0", "--out", str(out)]) == 1
+    rows = list(csv.DictReader(out.open()))
+    failed = [(r["case"], r["metric"], r["threshold"]) for r in rows if r["status"] == "fail"]
+    assert failed == [("m9-legendre", "interp_consistency", "solve raised")]
+    assert any(r["case"] == "m8-legendre" and r["metric"] == "interp_consistency" for r in rows)
+
+
+def test_verify_cubature_records_a_weight_sum_error_as_failure(tmp_path: Path):
+    from sphinterp import cli
+
+    # at m = 13 the moment solve on equispaced latitudes misses the sum 2
+    out = tmp_path / "cubature.csv"
+    assert cli.main(["verify", "--suite", "cubature", "--m", "13", "--trials", "2", "--seed", "0", "--out", str(out)]) == 1
+    rows = list(csv.DictReader(out.open()))
+    raised = [r for r in rows if r["metric"] == "weight_sum"]
+    assert [(r["case"], r["threshold"], r["status"]) for r in raised] == [("m13-equispaced", "build_rule raised", "fail")]
+    assert "sum to" in raised[0]["value"]
+    assert not any(r["case"] == "m13-equispaced" and r["metric"] != "weight_sum" for r in rows)
+    assert any(r["case"] == "m13-seeded" and r["metric"] == "exactness_scaled_err" for r in rows)
