@@ -14,7 +14,6 @@ from .cubature import (
     build_rule,
     exactness_certificate,
     legendre_rule,
-    nonnegativity_check,
     trig_quadrature_check,
 )
 from .errors import (
@@ -35,7 +34,6 @@ from .factorization import (
     factor_step,
     latitude_vanishing_residuals,
     mixed_parity_matrix,
-    mixed_parity_vanishes,
     reduction_coefficients,
     reduction_system_det,
 )
@@ -70,20 +68,15 @@ from .nodes import (
 from .polynomials import (
     UnivariatePoly,
     divide_by_linear_factors,
-    expand_parity,
     from_roots,
     integrate_unit_interval,
-    lagrange_basis,
-    monomial,
     one,
     poly,
     zero,
 )
 from .spherical import (
     FoldedForm,
-    SphericalCoord,
     SphericalPoly,
-    basis_enumerate,
     basis_index_order,
     fold_azimuth_modes,
     multiply_linear_z,

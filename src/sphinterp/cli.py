@@ -31,6 +31,7 @@ from .nodes import (
     legendre_latitudes,
 )
 from .verification import (
+    TOL_EXACTNESS,
     catalog_suite,
     chebyshev_suite,
     cubature_suite,
@@ -231,6 +232,12 @@ def cmd_cubature(args) -> int:
     if f is not None:
         value = apply_rule(rule, f)
         print(f"integral[{args.apply}] = {value!r}")
+    if cert.max_abs_error > TOL_EXACTNESS:
+        print(
+            f"error: exactness max error {cert.max_abs_error:.3e} exceeds {TOL_EXACTNESS:.0e}",
+            file=sys.stderr,
+        )
+        return 1
     return 0
 
 
@@ -337,6 +344,8 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "seed", None) is None:
             args.seed = _default_seed()
+        if args.seed < 0:
+            raise InputError(f"seed must be a nonnegative integer, got {args.seed}")
         return args.func(args)
     except PoisednessError as exc:
         print(

@@ -218,8 +218,3 @@ def exactness_certificate(rule: CubatureRule) -> ExactnessReport:
     max_err = max(abs(e) for e in errors)
     return ExactnessReport(m=rule.m, max_abs_error=max_err, errors=tuple(errors))
 
-
-def nonnegativity_check(m: int) -> bool:
-    """All weights nonnegative for the Gauss-Legendre latitude choice."""
-    rule = legendre_rule(m)
-    return all(w >= 0.0 for w in rule.weights)

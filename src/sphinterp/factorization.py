@@ -32,7 +32,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DivisibilityError, InputError, InternalInconsistencyError
-from .nodes import NodeSet, PartitionPlan, check_mirrored, mirrored_grid
+from .nodes import NodeSet, check_mirrored, mirrored_grid
 from .polynomials import UnivariatePoly, divide_by_linear_factors, zero
 from .spherical import SphericalPoly, fold_azimuth_modes, zero_spherical
 
@@ -40,6 +40,8 @@ _PI = math.pi
 _TINY = float(np.finfo(float).tiny)
 
 SIGMA_TOL = 1e-12  # smallest scaled singular value that certifies a chain step
+VANISH_TOL = 1e-10  # |T| on the grid, relative to its reference sup
+DIVISION_TOL = 1e-8  # band remainders and leftovers, relative to the coefficient scale
 
 
 # ---------------------------------------------------------------------------
@@ -230,39 +232,6 @@ def mixed_parity_matrix(k: int, m: int, points: Sequence[float]) -> np.ndarray:
     return mat
 
 
-def mixed_parity_vanishes(
-    k: int,
-    m: int,
-    p: UnivariatePoly,
-    q: UnivariatePoly,
-    points: Sequence[float],
-    tol: float = 1e-11,
-) -> bool:
-    """Whether the paired system residuals vanish at every point.
-
-    Residuals are measured against max(1, coefficient scale of p and q).
-    A TRUE answer at m distinct points forces p and q to vanish
-    identically; callers confirm that by checking coefficient norms.
-    """
-    if not 1 <= k <= m:
-        raise InputError(f"need 1 <= k <= m, got k={k}, m={m}")
-    if p.degree > 2 * m - k - 1:
-        raise InputError(f"deg p = {p.degree} exceeds bound {2 * m - k - 1}")
-    if q.degree > k - 1:
-        raise InputError(f"deg q = {q.degree} exceeds bound {k - 1}")
-    p_even, p_odd = p.even_odd_split()
-    q_even, q_odd = q.even_odd_split()
-    scale = max(1.0, p.coeff_scale(), q.coeff_scale())
-    for t in points:
-        t = float(t)
-        w = (1.0 - t * t) ** (m - k)
-        r1 = p_even(t) + q_odd(t) * w
-        r2 = p_odd(t) + q_even(t) * w
-        if abs(r1) > tol * scale or abs(r2) > tol * scale:
-            return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # Factorization steps
 # ---------------------------------------------------------------------------
@@ -279,16 +248,14 @@ def _reference_sup(T: SphericalPoly) -> float:
     return float(np.max(np.abs(T.eval(tt, pp))))
 
 
-def _divide_band(
-    band: UnivariatePoly, roots: Sequence[float], division_tol: float, scale: float
-) -> UnivariatePoly:
+def _divide_band(band: UnivariatePoly, roots: Sequence[float], scale: float) -> UnivariatePoly:
     """Divide one band by the root product, tolerating already-tiny bands."""
     target_len = max(len(band.coeffs) - len(roots), 1)
-    if band.coeff_scale() <= division_tol * scale:
+    if band.coeff_scale() <= DIVISION_TOL * scale:
         return UnivariatePoly((0.0,) * target_len)
     # divide_by_linear_factors checks remainders against the band's own
-    # coefficient scale; rescale so the bound is division_tol * scale of T
-    tol_eff = division_tol * scale / band.coeff_scale()
+    # coefficient scale; rescale so the bound is DIVISION_TOL * scale of T
+    tol_eff = DIVISION_TOL * scale / band.coeff_scale()
     try:
         return divide_by_linear_factors(band, roots, tol_eff)
     except DivisibilityError as exc:
@@ -297,19 +264,12 @@ def _divide_band(
         ) from exc
 
 
-def factor_step(
-    T: SphericalPoly,
-    m: int,
-    lam: int,
-    thetas: Sequence[float],
-    vanish_tol: float = 1e-10,
-    division_tol: float = 1e-8,
-) -> SphericalPoly:
+def factor_step(T: SphericalPoly, m: int, lam: int, thetas: Sequence[float]) -> SphericalPoly:
     """Split off prod_i (z - cos theta_i) from a polynomial vanishing on the grid.
 
     Requires m <= deg T <= 2m - 1 and lam = deg T - m + 1, with 2 lam
     distinct mirror-paired latitudes. The input must vanish (within
-    vanish_tol relative to its reference sup) at all 2 lam x 2m grid
+    VANISH_TOL relative to its reference sup) at all 2 lam x 2m grid
     points. Bands above the quotient degree must annihilate and the
     remaining bands must divide cleanly; failures of those guaranteed
     facts raise InternalInconsistencyError. For deg T = 2m - 1 the
@@ -326,7 +286,7 @@ def factor_step(
     if len(ths) != 2 * lam:
         raise InputError(f"need {2 * lam} latitudes, got {len(ths)}")
 
-    bound = vanish_tol * max(_reference_sup(T), _TINY)
+    bound = VANISH_TOL * max(_reference_sup(T), _TINY)
     th, ph = np.array([pt for ring in mirrored_grid(ths, m) for pt in ring.points()]).T
     vals = np.abs(T.eval(th, ph))
     bad = np.flatnonzero(vals > bound)
@@ -342,51 +302,36 @@ def factor_step(
     scale = max(T.coeff_scale(), _TINY)
     for k in range(max(new_deg + 1, 0), s_deg + 1):
         for name, band in (("a", T.a[k]), ("b", T.b[k])):
-            if band.coeff_scale() > division_tol * scale:
+            if band.coeff_scale() > DIVISION_TOL * scale:
                 raise InternalInconsistencyError(
                     f"band {name}_{k} should annihilate but has coefficient "
                     f"scale {band.coeff_scale():.3e} (tolerance "
-                    f"{division_tol * scale:.3e})"
+                    f"{DIVISION_TOL * scale:.3e})"
                 )
     if new_deg < 0:
         return zero_spherical(0)
-    a_new = [_divide_band(T.a[k], roots, division_tol, scale) for k in range(new_deg + 1)]
-    b_new = [zero()] + [
-        _divide_band(T.b[k], roots, division_tol, scale) for k in range(1, new_deg + 1)
-    ]
+    a_new = [_divide_band(T.a[k], roots, scale) for k in range(new_deg + 1)]
+    b_new = [zero()] + [_divide_band(T.b[k], roots, scale) for k in range(1, new_deg + 1)]
     return SphericalPoly(degree=new_deg, a=tuple(a_new), b=tuple(b_new))
 
 
-def factor_chain(
-    T: SphericalPoly,
-    plan: PartitionPlan,
-    nodes: NodeSet,
-    vanish_tol: float = 1e-10,
-    division_tol: float = 1e-8,
-) -> SphericalPoly:
-    """Apply ``factor_step`` down the plan, one group at a time.
+def factor_chain(T: SphericalPoly, nodes: NodeSet) -> list[SphericalPoly]:
+    """Apply ``factor_step`` down the node set's plan, one group at a time.
 
-    Each step divides by the current group's latitude factors; the vanishing
-    precondition is checked per step on the running quotient. Because the
-    plan's degree sequence ends at -1, a polynomial vanishing on the whole
-    node set chains down to the zero polynomial.
+    Returns the successive quotients, one per group. Each step divides by
+    the current group's latitude factors; the vanishing precondition is
+    checked per step on the running quotient. Because the plan's degree
+    sequence ends at -1, a polynomial vanishing on the whole node set
+    chains down to the zero polynomial.
     """
-    if nodes.plan != plan:
-        raise InputError("plan must match the node set's plan")
+    plan = nodes.plan
     if T.degree != plan.n:
         raise InputError(f"deg T = {T.degree} must equal n = {plan.n}")
-    half = plan.azimuth_half_counts()
-    current = T
-    for k, group in enumerate(nodes.groups):
-        current = factor_step(
-            current,
-            m=half[k],
-            lam=plan.lambdas[k],
-            thetas=[ring.theta for ring in group.rings],
-            vanish_tol=vanish_tol,
-            division_tol=division_tol,
-        )
-    return current
+    quotients = []
+    for group, m, lam in zip(nodes.groups, plan.azimuth_half_counts(), plan.lambdas):
+        T = factor_step(T, m=m, lam=lam, thetas=[ring.theta for ring in group.rings])
+        quotients.append(T)
+    return quotients
 
 
 # ---------------------------------------------------------------------------
@@ -421,9 +366,7 @@ def _scaled_sigma_min(mat: np.ndarray) -> float:
     return float(sv[-1] / sv[0])
 
 
-def chain_kernel_certificate(
-    nodes: NodeSet, sigma_tol: float = SIGMA_TOL
-) -> ChainKernelCertificate:
+def chain_kernel_certificate(nodes: NodeSet) -> ChainKernelCertificate:
     """Certify kernel triviality via the small systems of each chain step.
 
     For every group this checks, through scaled smallest singular values,
@@ -469,7 +412,7 @@ def chain_kernel_certificate(
                 for c2 in group_cos[g2]:
                     separation = min(separation, abs(c1 - c2))
     min_sigma = min(step.min_sigma() for step in steps)
-    passed = min_sigma > sigma_tol and separation > 0.0
+    passed = min_sigma > SIGMA_TOL and separation > 0.0
     return ChainKernelCertificate(
         passed=passed,
         min_scaled_sigma=min_sigma,

@@ -235,9 +235,6 @@ class NodeSet:
     def count(self) -> int:
         return sum(len(g.rings) * g.rings[0].grid.count for g in self.groups)
 
-    def thetas(self) -> list[float]:
-        return [ring.theta for g in self.groups for ring in g.rings]
-
     def points(self) -> list[tuple[float, float]]:
         """Flattened (theta, phi) pairs: groups, then rings, then azimuths."""
         return [pt for group in self.groups for ring in group.rings for pt in ring.points()]

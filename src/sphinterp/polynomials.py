@@ -2,9 +2,8 @@
 
 Coefficients are stored low to high: ``coeffs[j]`` multiplies ``t**j``. The
 stored length is structural, so the reported degree is ``len(coeffs) - 1``
-even when the leading coefficient happens to be zero. Trailing exact zeros
-are only removed by an explicit ``normalized()`` call, never implicitly by
-arithmetic.
+even when the leading coefficient happens to be zero; arithmetic never
+trims trailing zeros.
 """
 
 from __future__ import annotations
@@ -13,13 +12,6 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import DivisibilityError, InputError
-
-
-def _trimmed(coeffs: Sequence[float]) -> tuple[float, ...]:
-    end = len(coeffs)
-    while end > 1 and coeffs[end - 1] == 0.0:
-        end -= 1
-    return tuple(coeffs[:end])
 
 
 @dataclass(frozen=True)
@@ -72,44 +64,12 @@ class UnivariatePoly:
 
     __rmul__ = __mul__
 
-    def normalized(self) -> "UnivariatePoly":
-        """Drop trailing exact zeros (the only place trimming happens)."""
-        return UnivariatePoly(_trimmed(self.coeffs))
-
     def is_zero(self) -> bool:
         return all(c == 0.0 for c in self.coeffs)
 
     def coeff_scale(self) -> float:
         """Max absolute coefficient; 0 for the zero polynomial."""
         return max(abs(c) for c in self.coeffs)
-
-    def even_odd_split(self) -> tuple["UnivariatePoly", "UnivariatePoly"]:
-        """Split into even-index and odd-index parts, p = even + odd.
-
-        The parts are returned normalized (their natural structural length),
-        so ``t**3 + t**2 + t + 1`` splits into ``t**2 + 1`` and ``t**3 + t``.
-        """
-        even = [c if j % 2 == 0 else 0.0 for j, c in enumerate(self.coeffs)]
-        odd = [c if j % 2 == 1 else 0.0 for j, c in enumerate(self.coeffs)]
-        return UnivariatePoly(_trimmed(even)), UnivariatePoly(_trimmed(odd))
-
-    def compress_parity(self, parity: str) -> "UnivariatePoly":
-        """Halve the exponents of a single-parity polynomial.
-
-        For ``parity="even"`` returns p* with p(t) = p*(t**2); for
-        ``parity="odd"`` returns p* with p(t) = t * p*(t**2). Rejects input
-        carrying any nonzero coefficient of the other parity.
-        """
-        if parity not in ("even", "odd"):
-            raise InputError(f"parity must be 'even' or 'odd', got {parity!r}")
-        keep = 0 if parity == "even" else 1
-        for j, c in enumerate(self.coeffs):
-            if j % 2 != keep and c != 0.0:
-                raise InputError(
-                    f"coefficient of t**{j} is {c!r}, not of {parity} parity"
-                )
-        out = self.coeffs[keep::2]
-        return UnivariatePoly(out if out else (0.0,))
 
 
 def poly(coeffs: Iterable[float]) -> UnivariatePoly:
@@ -124,43 +84,11 @@ def one() -> UnivariatePoly:
     return UnivariatePoly((1.0,))
 
 
-def monomial(j: int, c: float = 1.0) -> UnivariatePoly:
-    if j < 0:
-        raise InputError("monomial exponent must be nonnegative")
-    return UnivariatePoly((0.0,) * j + (float(c),))
-
-
 def from_roots(roots: Iterable[float]) -> UnivariatePoly:
     """Monic product of (t - r) over the given roots."""
     out = one()
     for r in roots:
         out = out * UnivariatePoly((-float(r), 1.0))
-    return out
-
-
-def expand_parity(pstar: UnivariatePoly, parity: str) -> UnivariatePoly:
-    """Inverse of ``compress_parity``: substitute t**2 back in."""
-    if parity not in ("even", "odd"):
-        raise InputError(f"parity must be 'even' or 'odd', got {parity!r}")
-    out = [0.0] * (2 * len(pstar.coeffs) - 1 + (1 if parity == "odd" else 0))
-    shift = 0 if parity == "even" else 1
-    for j, c in enumerate(pstar.coeffs):
-        out[2 * j + shift] = c
-    return UnivariatePoly(tuple(out))
-
-
-def lagrange_basis(points: Sequence[float], i: int) -> UnivariatePoly:
-    """Cardinal polynomial: 1 at points[i], 0 at the other points."""
-    if len(set(points)) != len(points):
-        raise InputError("interpolation points must be pairwise distinct")
-    if not 0 <= i < len(points):
-        raise InputError(f"index {i} out of range for {len(points)} points")
-    out = one()
-    xi = points[i]
-    for j, xj in enumerate(points):
-        if j == i:
-            continue
-        out = out * UnivariatePoly((-xj / (xi - xj), 1.0 / (xi - xj)))
     return out
 
 

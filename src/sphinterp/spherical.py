@@ -25,34 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .polynomials import UnivariatePoly, monomial, zero
-
-_TWO_PI = 2.0 * math.pi
-
-
-@dataclass(frozen=True)
-class SphericalCoord:
-    """Point on the unit sphere: polar angle theta, azimuth phi.
-
-    theta must lie in [0, pi]; phi is normalized into [0, 2 pi).
-    """
-
-    theta: float
-    phi: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.theta <= math.pi:
-            raise InputError(f"theta must lie in [0, pi], got {self.theta!r}")
-        object.__setattr__(self, "phi", float(self.phi) % _TWO_PI)
-        object.__setattr__(self, "theta", float(self.theta))
-
-    def to_cartesian(self) -> tuple[float, float, float]:
-        st = math.sin(self.theta)
-        return (
-            st * math.cos(self.phi),
-            st * math.sin(self.phi),
-            math.cos(self.theta),
-        )
+from .polynomials import UnivariatePoly, zero
 
 
 @dataclass(frozen=True)
@@ -96,9 +69,6 @@ class SphericalPoly:
             val = val + self.b[k](c) * sk * np.sin(k * phi)
         return val
 
-    def __call__(self, pt: SphericalCoord) -> float:
-        return float(self.eval(pt.theta, pt.phi))
-
     def coeff_scale(self) -> float:
         """Max absolute coefficient over all bands."""
         return max(
@@ -135,22 +105,6 @@ def basis_index_order(n: int) -> list[tuple[int, str, int]]:
             for j in range(n - k + 1):
                 order.append((k, "sin", j))
     return order
-
-
-def basis_enumerate(n: int) -> list[SphericalPoly]:
-    """The (n + 1)**2 monomial-band basis elements of degree n, in order."""
-    if n < 0:
-        raise InputError("degree must be nonnegative")
-    out = []
-    for k, kind, j in basis_index_order(n):
-        a = [zero()] * (n + 1)
-        b = [zero()] * (n + 1)
-        if kind == "cos":
-            a[k] = monomial(j)
-        else:
-            b[k] = monomial(j)
-        out.append(SphericalPoly(degree=n, a=tuple(a), b=tuple(b)))
-    return out
 
 
 def spherical_from_vector(n: int, vec) -> SphericalPoly:

@@ -27,6 +27,7 @@ from .factorization import (
     ChebyshevTestCase,
     chain_kernel_certificate,
     chebyshev_collocation_det,
+    factor_chain,
     factor_step,
     latitude_vanishing_residuals,
     reduction_coefficients,
@@ -75,6 +76,13 @@ TOL_TOTAL_WEIGHT = 1e-10
 TOL_TRIG = 1e-12
 TOL_CONSISTENCY = 1e-8
 
+SEEDED_CONFIGS = 2  # seeded latitude draws per plan, besides the default
+TABLE_RMAX = 8  # reduction tables are checked for r = 2..TABLE_RMAX
+POINT_SETS = 25  # jittered point sets per Chebyshev family
+EQUIV_TRIALS = 100  # planted/random polynomials in the vanishing equivalence
+NONNEG_MMAX = 8  # Gauss-Legendre rules checked for nonnegative weights
+TRIG_MMAX = 8  # azimuth grids checked for trigonometric exactness
+
 
 def _row(suite: str, case: str, metric: str, value, threshold, ok) -> dict:
     status = "info" if ok is None else ("pass" if ok else "fail")
@@ -108,9 +116,7 @@ def _symmetric_thetas(lam: int, rng: np.random.Generator) -> list[float]:
 # ---------------------------------------------------------------------------
 
 
-def poisedness_suite(
-    n: int, seed: int = 0, trials: int = 3, seeded_configs: int = 2
-) -> list[dict]:
+def poisedness_suite(n: int, seed: int = 0, trials: int = 3) -> list[dict]:
     """Certificates, plant-and-recover, and chain agreement for every plan.
 
     A solve that raises ``PoisednessError`` becomes a failed
@@ -122,7 +128,7 @@ def poisedness_suite(
     for plan in enumerate_partitions(n):
         plan_id = ",".join(str(l) for l in plan.lambdas)
         configs = [("default", default_latitudes(plan))]
-        for j in range(seeded_configs):
+        for j in range(SEEDED_CONFIGS):
             configs.append((f"seeded{j + 1}", seeded_latitudes(plan, seed + 101 * j + 7)))
         for config, lats in configs:
             case = f"n{n}-plan({plan_id})-{config}"
@@ -160,7 +166,7 @@ def poisedness_suite(
                 rows.append(_row("poisedness", case, "plant_coeff_err", coeff_err, TOL_PLANT_COEFF, coeff_err <= TOL_PLANT_COEFF))
                 rows.append(_row("poisedness", case, "plant_residual", res_rel, TOL_RESIDUAL, res_rel <= TOL_RESIDUAL))
 
-            chain = chain_kernel_certificate(nodes, sigma_tol=SIGMA_TOL)
+            chain = chain_kernel_certificate(nodes)
             rows.append(_row("poisedness", case, "chain_min_sigma", chain.min_scaled_sigma, SIGMA_TOL, None))
             rows.append(
                 _row(
@@ -198,9 +204,7 @@ def catalog_suite(n: int) -> list[dict]:
 # ---------------------------------------------------------------------------
 
 
-def chebyshev_suite(
-    rmax: int = 6, table_rmax: int = 8, point_sets: int = 25, seed: int = 0
-) -> list[dict]:
+def chebyshev_suite(rmax: int = 6, seed: int = 0) -> list[dict]:
     rows = []
     rng = np.random.default_rng(seed)
     for r in range(2, rmax + 1):
@@ -208,7 +212,7 @@ def chebyshev_suite(
             for epsilon in (0, 1):
                 for sign in (1, -1):
                     worst = math.inf
-                    for _ in range(point_sets):
+                    for _ in range(POINT_SETS):
                         pts = _jittered_points(r + s + 1 + epsilon, rng)
                         case_obj = ChebyshevTestCase(
                             r=r, s=s, epsilon=epsilon, power_sign=sign, sample_points=tuple(pts)
@@ -221,7 +225,7 @@ def chebyshev_suite(
                         worst = min(worst, abs(det) / scale)
                     case = f"r{r}-s{s}-eps{epsilon}-sign{sign:+d}"
                     rows.append(_row("chebyshev", case, "min_scaled_det", worst, TOL_CHEB_DET, worst > TOL_CHEB_DET))
-    for r in range(2, table_rmax + 1):
+    for r in range(2, TABLE_RMAX + 1):
         for s in range(1, r):
             family = reduction_coefficients(r, s)
             min_entry = min(min(row) for row in family.table)
@@ -231,7 +235,7 @@ def chebyshev_suite(
     for r in range(2, rmax + 1):
         for s in range(1, r):
             worst = math.inf
-            for _ in range(point_sets):
+            for _ in range(POINT_SETS):
                 pts = sorted(_jittered_points(s, rng))
                 worst = min(worst, reduction_system_det(r, s, pts))
             rows.append(
@@ -287,20 +291,10 @@ def factorization_suite(mmax: int = 5, seeds: int = 20, seed: int = 0) -> list[d
         for plan in enumerate_partitions(n):
             plan_id = ",".join(str(l) for l in plan.lambdas)
             nodes = build_nodeset(plan, default_latitudes(plan))
-            half = plan.azimuth_half_counts()
-            expected = plan.degrees()
-            current: SphericalPoly = zero_spherical(n)
-            trace = [current.degree]
-            for k, group in enumerate(nodes.groups):
-                current = factor_step(
-                    current,
-                    m=half[k],
-                    lam=plan.lambdas[k],
-                    thetas=[ring.theta for ring in group.rings],
-                )
-                trace.append(current.degree)
+            quotients = factor_chain(zero_spherical(n), nodes)
+            trace = [n] + [q.degree for q in quotients]
             # the final quotient is the zero polynomial, reported as degree 0
-            ok = tuple(trace[:-1]) == expected[:-1] and current.coeff_scale() == 0.0
+            ok = tuple(trace[:-1]) == plan.degrees()[:-1] and quotients[-1].coeff_scale() == 0.0
             rows.append(
                 _row(
                     "factorization",
@@ -344,9 +338,7 @@ def _plant_vanishing(T: SphericalPoly, theta: float, alpha: float) -> SphericalP
     return SphericalPoly(degree=n, a=tuple(a), b=tuple(b))
 
 
-def lemmas_suite(
-    mmax: int = 6, fold_trials: int = 50, equiv_trials: int = 100, seed: int = 0
-) -> list[dict]:
+def lemmas_suite(mmax: int = 6, fold_trials: int = 50, seed: int = 0) -> list[dict]:
     rows = []
     rng = np.random.default_rng(seed)
     for m in range(1, mmax + 1):
@@ -370,7 +362,7 @@ def lemmas_suite(
     agree = True
     planted_both = 0
     random_both = 0
-    for trial in range(equiv_trials):
+    for trial in range(EQUIV_TRIALS):
         m = int(rng.integers(1, min(mmax, 5) + 1))
         n = 2 * m - 1
         alpha = float(rng.integers(0, 2))
@@ -392,10 +384,10 @@ def lemmas_suite(
             random_both += 1
     rows.append(_row("lemmas", "vanish-equivalence", "agreements", int(agree), 1, agree))
     rows.append(
-        _row("lemmas", "vanish-equivalence", "planted_all_vanish", planted_both, equiv_trials // 2 + equiv_trials % 2, planted_both == equiv_trials // 2 + equiv_trials % 2)
+        _row("lemmas", "vanish-equivalence", "planted_all_vanish", planted_both, EQUIV_TRIALS // 2 + EQUIV_TRIALS % 2, planted_both == EQUIV_TRIALS // 2 + EQUIV_TRIALS % 2)
     )
     rows.append(
-        _row("lemmas", "vanish-equivalence", "random_none_vanish", random_both, equiv_trials // 2, random_both == equiv_trials // 2)
+        _row("lemmas", "vanish-equivalence", "random_none_vanish", random_both, EQUIV_TRIALS // 2, random_both == EQUIV_TRIALS // 2)
     )
     return rows
 
@@ -405,13 +397,7 @@ def lemmas_suite(
 # ---------------------------------------------------------------------------
 
 
-def cubature_suite(
-    mmax: int = 6,
-    nonneg_mmax: int = 8,
-    trig_mmax: int = 8,
-    trig_trials: int = 50,
-    seed: int = 0,
-) -> list[dict]:
+def cubature_suite(mmax: int = 6, trig_trials: int = 50, seed: int = 0) -> list[dict]:
     rows = []
     rng = np.random.default_rng(seed)
     for m in range(1, mmax + 1):
@@ -471,7 +457,7 @@ def cubature_suite(
                 _row("cubature", f"m{m}-legendre", "interp_consistency", diff, TOL_CONSISTENCY, diff <= TOL_CONSISTENCY)
             )
 
-    for m in range(1, nonneg_mmax + 1):
+    for m in range(1, NONNEG_MMAX + 1):
         rule = legendre_rule(m)
         wmin = min(rule.weights)
         rows.append(_row("cubature", f"m{m}-legendre", "min_weight", wmin, 0.0, wmin >= 0.0))
@@ -480,7 +466,7 @@ def cubature_suite(
     wmin = min(build_rule(clustered).weights)
     rows.append(_row("cubature", "m2-clustered", "min_weight", wmin, "", None))
 
-    for m in range(1, trig_mmax + 1):
+    for m in range(1, TRIG_MMAX + 1):
         for alpha in (0, 1):
             for degree in range(0, 2 * m + 1):
                 err = trig_quadrature_check(degree, m, alpha, trig_trials, seed=seed + degree)

@@ -44,7 +44,7 @@ def test_criterion_01_poisedness():
     plan_count = 0
     for n in (3, 5, 7, 9):
         plan_count += len(enumerate_partitions(n))
-        rows += V.poisedness_suite(n, seed=0, trials=3, seeded_configs=2)
+        rows += V.poisedness_suite(n, seed=0, trials=3)
     elapsed = time.time() - t0
     checked = [
         r
@@ -148,7 +148,7 @@ def test_criterion_03_factorization():
 
 
 def test_criterion_04_chebyshev_systems():
-    rows = V.chebyshev_suite(rmax=6, table_rmax=8, point_sets=25, seed=0)
+    rows = V.chebyshev_suite(rmax=6, seed=0)
     bad = _failures(rows)
     dets = [r for r in rows if r["metric"] == "min_scaled_det"]
     tables = [r for r in rows if r["metric"] == "min_coefficient"]
@@ -168,7 +168,7 @@ def test_criterion_04_chebyshev_systems():
 
 
 def test_criterion_05_identities():
-    rows = V.lemmas_suite(mmax=6, fold_trials=50, equiv_trials=100, seed=0)
+    rows = V.lemmas_suite(mmax=6, fold_trials=50, seed=0)
     bad = _failures(rows)
     folds = [r for r in rows if r["metric"] == "max_rel_diff"]
     ok = not bad and len(folds) == 18  # m <= 6 and three rotations
@@ -187,7 +187,7 @@ def test_criterion_05_identities():
 
 @pytest.fixture(scope="module")
 def cubature_rows():
-    return V.cubature_suite(mmax=6, nonneg_mmax=8, trig_mmax=8, trig_trials=50, seed=0)
+    return V.cubature_suite(mmax=6, trig_trials=50, seed=0)
 
 
 def test_criterion_06_cubature_exactness(cubature_rows):
@@ -249,7 +249,7 @@ def test_criterion_08_trig_quadrature(cubature_rows):
 def test_criterion_09_two_oracle_agreement():
     rows = []
     for n in (3, 5, 7, 9):
-        rows += V.poisedness_suite(n, seed=0, trials=2, seeded_configs=2)
+        rows += V.poisedness_suite(n, seed=0, trials=2)
     agreements = [r for r in rows if r["metric"] == "two_oracle_agreement"]
     bad = _failures(agreements)
     ok = not bad and len(agreements) == 90  # 30 plans x 3 configurations

@@ -256,7 +256,7 @@ def test_interpolate_eval_grid(tmp_path: Path):
         "6",
     )
     assert res.returncode == 0
-    rows = list(csv.reader(grid.open()))
+    rows = list(csv.reader(grid.read_text().splitlines()))
     assert rows[0] == ["theta", "phi", "value"]
     assert len(rows) == 1 + 6 * 12
     th, ph, val = (float(x) for x in rows[1])
@@ -405,11 +405,29 @@ def test_cubature_lost_weight_sum_is_numerical_failure(tmp_path: Path):
     assert not rule_path.exists()
 
 
+@pytest.mark.parametrize("m, code", [(12, 0), (14, 1)])
+def test_cubature_exits_1_when_exactness_fails(tmp_path: Path, m, code):
+    # equispaced latitudes: max error 8.7e-12 at m = 12, 2.3e-10 at m = 14
+    rule_path, cert_path = tmp_path / "rule.json", tmp_path / "cert.json"
+    res = run_cli(
+        "cubature", "--m", str(m), "--latitudes", "default",
+        "--out-rule", str(rule_path), "--out-cert", str(cert_path),
+    )
+    assert res.returncode == code, res.stderr
+    assert "Traceback" not in res.stderr
+    assert rule_path.exists() and cert_path.exists()
+    error = json.loads(cert_path.read_text())["max_abs_error"]
+    assert (error > TOL_EXACTNESS) == (code == 1)
+    if code == 1:
+        lines = res.stderr.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: exactness")
+
+
 def test_verify_poisedness_suite(tmp_path: Path):
     out = tmp_path / "results.csv"
     res = run_cli("verify", "--suite", "poisedness", "--n", "3", "--out", str(out))
     assert res.returncode == 0, res.stdout + res.stderr
-    rows = list(csv.DictReader(out.open()))
+    rows = list(csv.DictReader(out.read_text().splitlines()))
     assert rows
     assert all(r["status"] in ("pass", "info") for r in rows)
     cases = [r["case"] for r in rows]
@@ -445,6 +463,24 @@ def test_non_integer_seed_env_is_bad_input():
     assert res.returncode == 2
     assert "SPHINTERP_SEED" in res.stderr
     assert "Traceback" not in res.stderr
+
+
+@pytest.mark.parametrize(
+    "args, env_seed",
+    [
+        (("--suite", "lemmas", "--seed", "-1"), None),
+        (("--suite", "poisedness"), "-5"),
+    ],
+)
+def test_negative_seed_is_bad_input(tmp_path: Path, args, env_seed):
+    env = dict(os.environ)
+    if env_seed is not None:
+        env["SPHINTERP_SEED"] = env_seed
+    out = tmp_path / "rows.csv"
+    res = run_cli("verify", *args, "--out", str(out), env=env)
+    assert res.returncode == 2
+    assert "nonnegative" in res.stderr and "Traceback" not in res.stderr
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -518,7 +554,7 @@ def test_eval_grid_matches_pointwise_evaluation(tmp_path: Path):
         a=tuple(UnivariatePoly(tuple(p)) for p in c["a"]),
         b=tuple(UnivariatePoly(tuple(p)) for p in c["b"]),
     )
-    rows = list(csv.reader(grid.open()))[1:]
+    rows = list(csv.reader(grid.read_text().splitlines()))[1:]
     assert len(rows) == 5 * 10
     for k, (th, ph, val) in enumerate(rows):
         i, j = divmod(k, 10)
@@ -586,7 +622,7 @@ def test_verify_poisedness_records_a_raising_solve_as_failure(tmp_path: Path, mo
     monkeypatch.setattr(verification, "solve", raising_solve)
     out = tmp_path / "poisedness.csv"
     assert cli.main(["verify", "--suite", "poisedness", "--n", "3", "--seed", "0", "--out", str(out)]) == 1
-    rows = list(csv.DictReader(out.open()))
+    rows = list(csv.DictReader(out.read_text().splitlines()))
     raised = [r for r in rows if r["metric"] == "plant_solve_condition"]
     assert len(raised) == 2 * 3  # two plans, three latitude configurations each
     assert all(r["status"] == "fail" and float(r["value"]) == 3.5e20 for r in raised)
@@ -600,7 +636,7 @@ def test_verify_cubature_records_a_raising_solve_as_failure(tmp_path: Path):
     # interp_consistency row reaches the condition bound and raises
     out = tmp_path / "cubature.csv"
     assert cli.main(["verify", "--suite", "cubature", "--m", "9", "--trials", "2", "--seed", "0", "--out", str(out)]) == 1
-    rows = list(csv.DictReader(out.open()))
+    rows = list(csv.DictReader(out.read_text().splitlines()))
     failed = [(r["case"], r["metric"], r["threshold"]) for r in rows if r["status"] == "fail"]
     assert failed == [("m9-legendre", "interp_consistency", "solve raised")]
     assert any(r["case"] == "m8-legendre" and r["metric"] == "interp_consistency" for r in rows)
@@ -612,7 +648,7 @@ def test_verify_cubature_records_a_weight_sum_error_as_failure(tmp_path: Path):
     # at m = 13 the moment solve on equispaced latitudes misses the sum 2
     out = tmp_path / "cubature.csv"
     assert cli.main(["verify", "--suite", "cubature", "--m", "13", "--trials", "2", "--seed", "0", "--out", str(out)]) == 1
-    rows = list(csv.DictReader(out.open()))
+    rows = list(csv.DictReader(out.read_text().splitlines()))
     raised = [r for r in rows if r["metric"] == "weight_sum"]
     assert [(r["case"], r["threshold"], r["status"]) for r in raised] == [("m13-equispaced", "build_rule raised", "fail")]
     assert "sum to" in raised[0]["value"]

@@ -8,15 +8,19 @@ from hypothesis import assume, given, settings, strategies as st
 
 from sphinterp import (
     DivisibilityError,
-    InputError,
     UnivariatePoly,
     divide_by_linear_factors,
-    expand_parity,
     from_roots,
     integrate_unit_interval,
-    lagrange_basis,
     poly,
 )
+
+
+def cardinal(points, i):
+    """Lagrange cardinal at points[i], built from the package's root product."""
+    others = [x for j, x in enumerate(points) if j != i]
+    return from_roots(others) * (1.0 / math.prod(points[i] - x for x in others))
+
 
 coeff_lists = st.lists(
     st.floats(min_value=-1e3, max_value=1e3, allow_nan=False), min_size=1, max_size=8
@@ -44,64 +48,6 @@ def test_eval_accepts_arrays():
 
 def test_degree_is_structural():
     assert poly([1.0, 0.0]).degree == 1
-    assert poly([1.0, 0.0]).normalized().degree == 0
-
-
-def test_even_odd_split_cubic():
-    even, odd = poly([1.0, 1.0, 1.0, 1.0]).even_odd_split()
-    assert even.coeffs == (1.0, 0.0, 1.0)
-    assert odd.coeffs == (0.0, 1.0, 0.0, 1.0)
-
-
-def test_even_odd_split_zero():
-    even, odd = poly([0.0]).even_odd_split()
-    assert even.is_zero() and odd.is_zero()
-
-
-def test_even_odd_split_pure_even():
-    even, odd = poly([0.0, 0.0, 0.0, 0.0, 5.0]).even_odd_split()
-    assert even.coeffs == (0.0, 0.0, 0.0, 0.0, 5.0)
-    assert odd.is_zero()
-
-
-def test_compress_parity_even():
-    assert poly([0.0, 0.0, 3.0, 0.0, 1.0]).compress_parity("even").coeffs == (0.0, 3.0, 1.0)
-
-
-def test_compress_parity_odd():
-    assert poly([0.0, 2.0, 0.0, 1.0]).compress_parity("odd").coeffs == (2.0, 1.0)
-
-
-def test_compress_parity_rejects_mixed():
-    with pytest.raises(InputError):
-        poly([0.0, 1.0, 1.0]).compress_parity("even")
-
-
-def test_lagrange_two_point_cardinal():
-    ell = lagrange_basis([-0.5, 0.5], 0)
-    assert ell(-0.5) == pytest.approx(1.0, abs=1e-15)
-    assert ell(0.5) == pytest.approx(0.0, abs=1e-15)
-
-
-def test_lagrange_single_point_is_one():
-    assert lagrange_basis([0.7], 0).coeffs == (1.0,)
-
-
-def test_lagrange_four_point_cardinal_against_product_formula():
-    points = [-0.8, -0.3, 0.3, 0.8]
-    ell = lagrange_basis(points, 2)
-    for j, x in enumerate(points):
-        direct = 1.0
-        for k, xk in enumerate(points):
-            if k != 2:
-                direct *= (x - xk) / (points[2] - xk)
-        assert ell(x) == pytest.approx(direct, abs=1e-14)
-        assert ell(x) == pytest.approx(1.0 if j == 2 else 0.0, abs=1e-14)
-
-
-def test_lagrange_rejects_duplicates():
-    with pytest.raises(InputError):
-        lagrange_basis([0.1, 0.1, 0.5], 0)
 
 
 def test_integrate_constant():
@@ -150,37 +96,15 @@ def test_eval_additivity(a, b, t):
     assert abs((p + q)(t) - (p(t) + q(t))) <= 8 * np.finfo(float).eps * max(scale, 1.0)
 
 
-@given(coeff_lists)
-def test_split_recombination_identity(a):
-    p = poly(a)
-    even, odd = p.even_odd_split()
-    recombined = even + odd
-    # exact coefficient-wise equality on the common structural length
-    for j, c in enumerate(p.coeffs):
-        got = recombined.coeffs[j] if j < len(recombined.coeffs) else 0.0
-        assert got == c
-
-
-@given(coeff_lists, st.sampled_from(["even", "odd"]))
-def test_compress_expand_roundtrip(a, parity):
-    keep = 0 if parity == "even" else 1
-    masked = [c if j % 2 == keep else 0.0 for j, c in enumerate(a)]
-    p = poly(masked)
-    back = expand_parity(p.compress_parity(parity), parity)
-    for j, c in enumerate(p.coeffs):
-        got = back.coeffs[j] if j < len(back.coeffs) else 0.0
-        assert got == c
-
-
 @pytest.mark.parametrize("npts", range(2, 13))
 def test_partition_of_unity_chebyshev_spread(npts):
     # Chebyshev spreads keep the cardinal coefficients small enough for a
     # coefficient-wise 1e-12 check up to 12 points; tighter clustering
     # inflates the cardinals beyond what float64 can cancel to 1e-12
     points = [math.cos((2 * q + 1) * math.pi / (2 * npts)) for q in range(npts)]
-    total = lagrange_basis(points, 0)
+    total = cardinal(points, 0)
     for i in range(1, npts):
-        total = total + lagrange_basis(points, i)
+        total = total + cardinal(points, i)
     coeffs = np.array(total.coeffs)
     assert abs(coeffs[0] - 1.0) < 1e-12
     assert np.max(np.abs(coeffs[1:])) < 1e-12
@@ -189,7 +113,7 @@ def test_partition_of_unity_chebyshev_spread(npts):
 @pytest.mark.parametrize("npts", range(1, 13))
 def test_cardinal_integrals_sum_to_two(npts):
     points = [math.cos((2 * q + 1) * math.pi / (2 * npts)) for q in range(npts)]
-    total = sum(integrate_unit_interval(lagrange_basis(points, i)) for i in range(npts))
+    total = sum(integrate_unit_interval(cardinal(points, i)) for i in range(npts))
     assert abs(total - 2.0) < 1e-12
 
 
@@ -206,7 +130,7 @@ def test_partition_of_unity_scale_aware(points):
     # arbitrary point sets only support a bound relative to the size of the
     # cardinal coefficients themselves (float64 cancellation limit)
     assume(all(abs(a - b) > 1e-6 for i, a in enumerate(points) for b in points[:i]))
-    cardinals = [lagrange_basis(points, i) for i in range(len(points))]
+    cardinals = [cardinal(points, i) for i in range(len(points))]
     total = cardinals[0]
     for ell in cardinals[1:]:
         total = total + ell

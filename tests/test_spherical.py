@@ -7,13 +7,9 @@ import pytest
 
 from sphinterp import (
     InputError,
-    SphericalCoord,
     SphericalPoly,
-    UnivariatePoly,
-    basis_enumerate,
     basis_index_order,
     fold_azimuth_modes,
-    monomial,
     multiply_linear_z,
     poly,
     random_spherical,
@@ -33,35 +29,15 @@ def band_poly(n, k, kind, coeffs):
     return SphericalPoly(degree=n, a=tuple(a), b=tuple(b))
 
 
-def test_coord_normalizes_phi():
-    pt = SphericalCoord(theta=1.0, phi=2.5 * math.pi)
-    assert pt.phi == pytest.approx(0.5 * math.pi)
-    assert 0.0 <= pt.phi < 2.0 * math.pi
-
-
-def test_coord_rejects_bad_theta():
-    with pytest.raises(InputError):
-        SphericalCoord(theta=-0.1, phi=0.0)
-    with pytest.raises(InputError):
-        SphericalCoord(theta=math.pi + 0.1, phi=0.0)
-
-
-def test_coord_cartesian_convention():
-    pt = SphericalCoord(theta=math.pi / 2, phi=0.0)
-    x, y, z = pt.to_cartesian()
-    assert (x, y) == pytest.approx((1.0, 0.0))
-    assert z == pytest.approx(0.0, abs=1e-16)
-
-
 def test_eval_constant():
     T = band_poly(0, 0, "a", [1.0])
-    assert T(SphericalCoord(0.3, 5.1)) == 1.0
+    assert T.eval(0.3, 5.1) == 1.0
 
 
 def test_eval_x_coordinate():
     # the k=1 cosine band with a_1 = 1 is x = sin(theta) cos(phi)
     T = band_poly(1, 1, "a", [1.0])
-    assert T(SphericalCoord(math.pi / 2, 0.0)) == pytest.approx(1.0)
+    assert T.eval(math.pi / 2, 0.0) == pytest.approx(1.0)
     th, ph = 0.7, 2.1
     assert T.eval(th, ph) == pytest.approx(math.sin(th) * math.cos(ph))
 
@@ -69,7 +45,7 @@ def test_eval_x_coordinate():
 def test_eval_sine_band():
     # b_2 = 1 at (pi/2, pi/4): sin^2(pi/2) * sin(pi/2) = 1
     T = band_poly(2, 2, "b", [1.0])
-    assert T(SphericalCoord(math.pi / 2, math.pi / 4)) == pytest.approx(1.0)
+    assert T.eval(math.pi / 2, math.pi / 4) == pytest.approx(1.0)
 
 
 def test_z_is_the_linear_a0_band():
@@ -86,9 +62,9 @@ def test_degree_bounds_enforced():
 
 
 def test_basis_counts():
-    assert len(basis_enumerate(0)) == 1
-    assert len(basis_enumerate(1)) == 4
-    assert len(basis_enumerate(3)) == 16
+    assert len(basis_index_order(0)) == 1
+    assert len(basis_index_order(1)) == 4
+    assert len(basis_index_order(3)) == 16
 
 
 def test_basis_order_is_deterministic():
@@ -110,8 +86,8 @@ def test_phi_wraparound_invariance():
     rng = np.random.default_rng(1)
     T = random_spherical(3, rng)
     for th, ph in [(0.4, 0.3), (1.2, 5.9), (2.8, 3.3)]:
-        a = T(SphericalCoord(th, ph))
-        b = T(SphericalCoord(th, ph + 2.0 * math.pi))
+        a = T.eval(th, ph)
+        b = T.eval(th, ph + 2.0 * math.pi)
         assert a == pytest.approx(b, abs=1e-12)
 
 
@@ -216,7 +192,3 @@ def test_eval_spherical_agrees_with_band_formula():
         direct += float(T.b[k](c)) * s**k * math.sin(k * ph)
     assert T.eval(th, ph) == pytest.approx(direct, rel=1e-14)
 
-
-def test_monomial_helper():
-    assert monomial(2, 3.0).coeffs == (0.0, 0.0, 3.0)
-    assert isinstance(monomial(0), UnivariatePoly)
