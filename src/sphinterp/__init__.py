@@ -66,17 +66,14 @@ from .nodes import (
     seeded_latitudes,
 )
 from .polynomials import (
-    UnivariatePoly,
     divide_by_linear_factors,
     from_roots,
     integrate_unit_interval,
-    one,
-    poly,
-    zero,
 )
 from .spherical import (
     FoldedForm,
     SphericalPoly,
+    band_mask,
     basis_index_order,
     fold_azimuth_modes,
     multiply_linear_z,

@@ -1,10 +1,11 @@
 """Command-line front end: node generation, interpolation, cubature, verify.
 
 Structured artifacts are JSON (node sets, rules, reports) and tabular data
-is CSV. All angles are serialized in radians at full double precision, and
-every command is deterministic given its flags and seed, so repeated runs
-produce byte-identical files. The environment variable SPHINTERP_SEED
-overrides the default seed.
+is CSV; inputs may start with a UTF-8 byte-order mark. All angles are
+serialized in radians at full double precision, and every command is
+deterministic given its flags and seed, so repeated runs produce
+byte-identical files. The environment variable SPHINTERP_SEED overrides
+the default seed.
 """
 
 from __future__ import annotations
@@ -78,7 +79,7 @@ def _write_json(path: str, obj) -> None:
 
 
 def _read_json(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         return json.load(fh)
 
 
@@ -122,7 +123,7 @@ def cmd_gen_nodes(args) -> int:
 
 def _read_data_csv(path: str, count: int) -> list[float]:
     values: dict[int, float] = {}
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         for lineno, row in enumerate(csv.reader(fh), start=1):
             if not row or (lineno == 1 and row[0].strip().lower() == "index"):
                 continue
@@ -157,18 +158,19 @@ def cmd_interpolate(args) -> int:
         data = _read_data_csv(args.data, count)
     report = solve(InterpolationProblem(nodes=nodes, data=tuple(data)))
     sol = report.solution
+    n = sol.degree
     _write_json(
         args.out_coeffs,
         {
-            "n": sol.degree,
-            "a": [list(p.coeffs) for p in sol.a],
-            "b": [list(p.coeffs) for p in sol.b],
+            "n": n,
+            "a": [sol.coef[: n - k + 1, k, 0].tolist() for k in range(n + 1)],
+            "b": [[0.0]] + [sol.coef[: n - k + 1, k, 1].tolist() for k in range(1, n + 1)],
         },
     )
     _write_json(
         args.out_report,
         {
-            "n": sol.degree,
+            "n": n,
             "points": count,
             "residual_inf": report.residual_inf,
             "condition_estimate": report.condition_estimate,

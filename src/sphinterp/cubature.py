@@ -30,7 +30,7 @@ from .nodes import (
     legendre_latitudes,
     mirrored_grid,
 )
-from .spherical import basis_index_order
+from .spherical import band_mask
 
 _PI = math.pi
 TOL_WEIGHT_SUM = 1e-12
@@ -210,11 +210,9 @@ def exactness_certificate(rule: CubatureRule) -> ExactnessReport:
     # band[i, k] = (pi / m) w_i s_i**k; powers[i, j] = t_i**j
     band = (_PI / rule.m) * np.array(rule.weights)[:, None] * np.sin(theta)[:, None] ** freqs
     powers = np.vander(np.cos(theta), N=n + 1, increasing=True)
-    rule_vals = {"cos": (band * cos_sums).T @ powers, "sin": (band * sin_sums).T @ powers}
-    errors = [
-        float(rule_vals[kind][k, j] - analytic_basis_integral(k, j))
-        for k, kind, j in basis_index_order(n)
-    ]
+    rule_vals = np.stack([(band * cos_sums).T @ powers, (band * sin_sums).T @ powers], axis=1)
+    exact = np.array([[analytic_basis_integral(k, j) for j in freqs] for k in freqs])
+    errors = (rule_vals - exact[:, None, :])[band_mask(n)].tolist()  # [k, kind, j]
     max_err = max(abs(e) for e in errors)
     return ExactnessReport(m=rule.m, max_abs_error=max_err, errors=tuple(errors))
 

@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import DivisibilityError, InputError, InternalInconsistencyError
 from .nodes import NodeSet, check_mirrored, mirrored_grid
-from .polynomials import UnivariatePoly, divide_by_linear_factors, zero
+from .polynomials import divide_by_linear_factors
 from .spherical import SphericalPoly, fold_azimuth_modes, zero_spherical
 
 _PI = math.pi
@@ -113,14 +113,13 @@ class ReductionFamily:
     s: int
     table: tuple[tuple[int, ...], ...]
 
-    def poly(self, k: int) -> UnivariatePoly:
-        """h_k as a dense polynomial of degree r - s + k."""
+    def poly(self, k: int) -> np.ndarray:
+        """Coefficients of h_k, low to high, degree r - s + k."""
         if not 0 <= k < self.s:
             raise InputError(f"k must lie in 0..{self.s - 1}")
-        coeffs = [0.0] * (self.r - self.s + k + 1)
-        for j, a in enumerate(self.table[k]):
-            coeffs[j + k] = float(a)
-        return UnivariatePoly(tuple(coeffs))
+        coeffs = np.zeros(self.r - self.s + k + 1)
+        coeffs[k:] = self.table[k]
+        return coeffs
 
 
 def reduction_coefficients(r: int, s: int) -> ReductionFamily:
@@ -152,7 +151,8 @@ def reduction_system_det(r: int, s: int, points: Sequence[float]) -> float:
     if any(not 0.0 < t < 1.0 for t in points):
         raise InputError("points must lie in the open interval (0, 1)")
     family = reduction_coefficients(r, s)
-    mat = np.array([[family.poly(j)(float(t)) for t in points] for j in range(s)])
+    polyval = np.polynomial.polynomial.polyval
+    mat = np.array([polyval(np.asarray(points, dtype=float), family.poly(j)) for j in range(s)])
     return float(np.linalg.det(mat))
 
 
@@ -183,15 +183,13 @@ def latitude_vanishing_residuals(
     if not 0.0 < theta < _PI:
         raise InputError(f"theta must lie strictly inside (0, pi), got {theta!r}")
     m = (n + 1) // 2
-    folded = fold_azimuth_modes(T, alpha, m)
-    c = math.cos(theta)
+    low, high = fold_azimuth_modes(T, alpha, m).band_values(math.cos(theta))
     s = math.sin(theta)
-    out = [float(folded.a0(c))]
+    out = [float(low[0, 0])]
     for k in range(1, m):
         w = s ** (2 * m - 2 * k)
-        out.append(float(folded.cos_low[k - 1](c)) + w * float(folded.cos_high[k - 1](c)))
-        out.append(float(folded.sin_low[k - 1](c)) + w * float(folded.sin_high[k - 1](c)))
-    out.append(float(folded.axial(c)))
+        out += [float(low[k, 0] + w * high[k, 0]), float(low[k, 1] + w * high[k, 1])]
+    out.append(float(low[m, 0]))
     return tuple(out)
 
 
@@ -248,16 +246,15 @@ def _reference_sup(T: SphericalPoly) -> float:
     return float(np.max(np.abs(T.eval(tt, pp))))
 
 
-def _divide_band(band: UnivariatePoly, roots: Sequence[float], scale: float) -> UnivariatePoly:
+def _divide_band(band: np.ndarray, roots: Sequence[float], scale: float) -> np.ndarray:
     """Divide one band by the root product, tolerating already-tiny bands."""
-    target_len = max(len(band.coeffs) - len(roots), 1)
-    if band.coeff_scale() <= DIVISION_TOL * scale:
-        return UnivariatePoly((0.0,) * target_len)
+    band_scale = float(np.max(np.abs(band)))
+    if band_scale <= DIVISION_TOL * scale:
+        return np.zeros(max(len(band) - len(roots), 1))
     # divide_by_linear_factors checks remainders against the band's own
     # coefficient scale; rescale so the bound is DIVISION_TOL * scale of T
-    tol_eff = DIVISION_TOL * scale / band.coeff_scale()
     try:
-        return divide_by_linear_factors(band, roots, tol_eff)
+        return divide_by_linear_factors(band, roots, DIVISION_TOL * scale / band_scale)
     except DivisibilityError as exc:
         raise InternalInconsistencyError(
             f"guaranteed band division failed: {exc}"
@@ -300,19 +297,22 @@ def factor_step(T: SphericalPoly, m: int, lam: int, thetas: Sequence[float]) -> 
     roots = [math.cos(th) for th in ths]
     new_deg = s_deg - 2 * lam
     scale = max(T.coeff_scale(), _TINY)
-    for k in range(max(new_deg + 1, 0), s_deg + 1):
-        for name, band in (("a", T.a[k]), ("b", T.b[k])):
-            if band.coeff_scale() > DIVISION_TOL * scale:
-                raise InternalInconsistencyError(
-                    f"band {name}_{k} should annihilate but has coefficient "
-                    f"scale {band.coeff_scale():.3e} (tolerance "
-                    f"{DIVISION_TOL * scale:.3e})"
-                )
+    top = max(new_deg + 1, 0)
+    band_scales = np.max(np.abs(T.coef[:, top:]), axis=0)  # [k - top, kind]
+    bad = np.argwhere(band_scales > DIVISION_TOL * scale)
+    if bad.size:
+        k, kind = bad[0]
+        raise InternalInconsistencyError(
+            f"band {'ab'[kind]}_{k + top} should annihilate but has coefficient "
+            f"scale {band_scales[k, kind]:.3e} (tolerance "
+            f"{DIVISION_TOL * scale:.3e})"
+        )
     if new_deg < 0:
         return zero_spherical(0)
-    a_new = [_divide_band(T.a[k], roots, scale) for k in range(new_deg + 1)]
-    b_new = [zero()] + [_divide_band(T.b[k], roots, scale) for k in range(1, new_deg + 1)]
-    return SphericalPoly(degree=new_deg, a=tuple(a_new), b=tuple(b_new))
+    coef = np.zeros((new_deg + 1, new_deg + 1, 2))
+    for k, kind in np.ndindex(new_deg + 1, 2):  # b_0 is zero and stays zero
+        coef[: new_deg - k + 1, k, kind] = _divide_band(T.coef[: s_deg - k + 1, k, kind], roots, scale)
+    return SphericalPoly(coef)
 
 
 def factor_chain(T: SphericalPoly, nodes: NodeSet) -> list[SphericalPoly]:

@@ -42,7 +42,7 @@ import numpy as np
 from .errors import InputError, PoisednessError
 from .nodes import NodeSet
 from .polynomials import from_roots
-from .spherical import SphericalPoly, basis_index_order, spherical_from_vector
+from .spherical import SphericalPoly
 
 RESIDUAL_TOL = 1e-8  # relative residual bound certified by solve/certificate
 
@@ -169,7 +169,7 @@ class _Group:
     mid_index: tuple
     end: np.ndarray  # (2, 2 lam, 2 lam): classes 0 and s
     end_index: tuple
-    pi_coeffs: tuple[float, ...]  # Pi_g, low to high
+    pi_coeffs: np.ndarray  # Pi_g, low to high
     pi_later: np.ndarray  # Pi_g(cos theta) at every later node
     psi: np.ndarray  # product of the earlier Pi at this group's rings
 
@@ -177,18 +177,14 @@ class _Group:
 class _Chain:
     """Tables of the chain solver for one node set, built once per call.
 
-    Coefficients live in arrays coef[j, k, kind, column]: the t**j term of
-    band k, kind 0 for cos (a_k) and 1 for sin (b_k).
+    Coefficients live in arrays coef[j, k, kind, column], one
+    ``SphericalPoly.coef`` per column.
     """
 
     def __init__(self, nodes: NodeSet):
         plan = nodes.plan
         n = plan.n
-        self.n = n
         self.size = (n + 1) ** 2
-        # coef[self.canon] lists the coefficients in canonical basis order
-        order = [(j, k, int(kind == "sin")) for k, kind, j in basis_index_order(n)]
-        self.canon = tuple(np.array(v) for v in zip(*order))
         rings = [ring for group in nodes.groups for ring in group.rings]
         theta = np.array([ring.theta for ring in rings])
         self.t = np.cos(theta)
@@ -227,7 +223,7 @@ class _Chain:
                     mid_index=mid_index,
                     end=end,
                     end_index=end_index,
-                    pi_coeffs=from_roots(t).coeffs,
+                    pi_coeffs=from_roots(t),
                     pi_later=pi_rings[self.node_ring[o1:] - r1],
                     psi=psi[r0:r1],
                 )
@@ -350,7 +346,7 @@ def solve(problem: InterpolationProblem) -> SolveReport:
     coef = _refine(chain, f, coef)
     residual = float(np.max(np.abs(chain.evaluate(coef) - f)))
     return SolveReport(
-        solution=spherical_from_vector(problem.nodes.n, coef[chain.canon][:, 0]),
+        solution=SphericalPoly(coef[..., 0]),
         residual_inf=residual,
         condition_estimate=cond,
         pivot_min=pivot_min,

@@ -1,15 +1,21 @@
-"""Spherical polynomials in latitude-band form.
+"""Spherical polynomials as one coefficient array.
 
-A degree-n spherical polynomial is stored as a family of univariate
-coefficient polynomials, one pair per azimuthal frequency:
+A degree-n spherical polynomial is
 
     T(theta, phi) = a_0(cos theta)
-        + sum_{k=1..n} [ a_k(cos theta) sin(theta)**k cos(k phi)
-                       + b_k(cos theta) sin(theta)**k sin(k phi) ]
+        + sum_{k=1..n} sin(theta)**k [ a_k(cos theta) cos(k phi)
+                                     + b_k(cos theta) sin(k phi) ]
 
-with deg a_k <= n - k and deg b_k <= n - k. The coordinate convention is
+with deg a_k <= n - k and deg b_k <= n - k. It is stored as one float array
+``coef[j, k, kind]`` of shape (n + 1, n + 1, 2): the coefficient of t**j
+in a_k (kind 0) or b_k (kind 1). The coordinate convention is
 x = sin(theta) cos(phi), y = sin(theta) sin(phi), z = cos(theta), so the
 k = 0 band with a_0 = t is exactly the coordinate function z.
+
+``band_mask(n)[k, kind, j]`` marks the slots that may be nonzero: j <= n - k,
+and no b_0. Read in C order it is the canonical basis order (k ascending,
+cosine before sine, j ascending), so the canonical coefficient vector is
+one masked read of ``coef`` and one masked write rebuilds it.
 
 On the 2m equidistant azimuths phi_j = (2j + alpha) pi / (2m), harmonics of
 frequency 2m - k alias onto frequency k. ``fold_azimuth_modes`` performs
@@ -25,70 +31,79 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .polynomials import UnivariatePoly, zero
 
 
-@dataclass(frozen=True)
+def band_mask(n: int) -> np.ndarray:
+    """Boolean mask[k, kind, j] of the degree-n basis: j <= n - k, no b_0."""
+    k = np.arange(n + 1)
+    fits = np.add.outer(k, k) <= n
+    mask = np.stack([fits, fits], axis=1)
+    mask[0, 1] = False
+    return mask
+
+
+def _by_band(coef: np.ndarray) -> np.ndarray:
+    """View of coef[j, k, kind] indexed [k, kind, j], the order of ``band_mask``."""
+    return coef.transpose(1, 2, 0)
+
+
+@dataclass(frozen=True, eq=False)
 class SphericalPoly:
-    """Degree-n spherical polynomial in band form.
+    """Degree-n spherical polynomial held as a read-only coef[j, k, kind] array.
 
-    ``a`` and ``b`` both have length n + 1; ``b[0]`` is unused and must be
-    the zero polynomial. Structural degree bounds deg a_k <= n - k are
-    enforced on construction.
+    The constructor copies its input, checks the shape (n + 1, n + 1, 2) and
+    rejects any nonzero entry outside ``band_mask(n)``.
     """
 
-    degree: int
-    a: tuple[UnivariatePoly, ...]
-    b: tuple[UnivariatePoly, ...]
+    coef: np.ndarray
 
     def __post_init__(self):
-        n = self.degree
-        if n < 0:
-            raise InputError("degree must be nonnegative")
-        if len(self.a) != n + 1 or len(self.b) != n + 1:
-            raise InputError(f"band lists must have length {n + 1}")
-        for k, p in enumerate(self.a):
-            if p.degree > n - k:
-                raise InputError(f"deg a_{k} = {p.degree} exceeds bound {n - k}")
-        for k, p in enumerate(self.b):
-            if k == 0:
-                if not p.is_zero():
-                    raise InputError("b_0 must be the zero polynomial")
-            elif p.degree > n - k:
-                raise InputError(f"deg b_{k} = {p.degree} exceeds bound {n - k}")
+        coef = np.array(self.coef, dtype=float)
+        if coef.ndim != 3 or coef.shape[1:] != (len(coef), 2) or not len(coef):
+            raise InputError(f"coefficients must have shape (n + 1, n + 1, 2), got {coef.shape}")
+        n = coef.shape[0] - 1
+        outside = np.argwhere((_by_band(coef) != 0.0) & ~band_mask(n))
+        if outside.size:
+            k, kind, j = outside[0]
+            raise InputError(
+                f"coefficient of t**{j} in {'ab'[kind]}_{k} lies outside the degree-{n} bands"
+            )
+        coef.flags.writeable = False
+        object.__setattr__(self, "coef", coef)
+
+    @property
+    def degree(self) -> int:
+        return self.coef.shape[0] - 1
 
     def eval(self, theta, phi):
-        """Evaluate at raw angles; accepts floats or numpy arrays."""
+        """Evaluate at raw angles; accepts floats or numpy arrays.
+
+        One Horner pass per band over its own slice, both kinds at once.
+        """
+        polyval = np.polynomial.polynomial.polyval
+        n = self.degree
         c = np.cos(theta)
         s = np.sin(theta)
-        val = self.a[0](c)
+        val = polyval(c, self.coef[:, 0, 0])
         sk = 1.0
-        for k in range(1, self.degree + 1):
+        for k in range(1, n + 1):
             sk = sk * s
-            val = val + self.a[k](c) * sk * np.cos(k * phi)
-            val = val + self.b[k](c) * sk * np.sin(k * phi)
+            a, b = polyval(c, self.coef[: n - k + 1, k])
+            val = val + a * sk * np.cos(k * phi)
+            val = val + b * sk * np.sin(k * phi)
         return val
 
     def coeff_scale(self) -> float:
         """Max absolute coefficient over all bands."""
-        return max(
-            max(p.coeff_scale() for p in self.a),
-            max(p.coeff_scale() for p in self.b),
-        )
+        return float(np.max(np.abs(self.coef)))
 
     def coefficient_vector(self) -> np.ndarray:
-        """Flatten bands into the canonical basis order."""
-        n = self.degree
-        out = []
-        for k, kind, j in basis_index_order(n):
-            band = self.a[k] if kind == "cos" else self.b[k]
-            out.append(band.coeffs[j] if j < len(band.coeffs) else 0.0)
-        return np.array(out)
+        """The coefficients in the canonical basis order."""
+        return _by_band(self.coef)[band_mask(self.degree)]
 
 
 def zero_spherical(n: int) -> SphericalPoly:
-    bands = tuple(zero() for _ in range(n + 1))
-    return SphericalPoly(degree=n, a=bands, b=bands)
+    return spherical_from_vector(n, np.zeros((n + 1) ** 2))
 
 
 def basis_index_order(n: int) -> list[tuple[int, str, int]]:
@@ -97,32 +112,19 @@ def basis_index_order(n: int) -> list[tuple[int, str, int]]:
     Yields (n + 1)**2 triples (k, kind, j) where the element has a_k = t**j
     for kind "cos" and b_k = t**j for kind "sin" (sine only for k >= 1).
     """
-    order = []
-    for k in range(n + 1):
-        for j in range(n - k + 1):
-            order.append((k, "cos", j))
-        if k >= 1:
-            for j in range(n - k + 1):
-                order.append((k, "sin", j))
-    return order
+    return [(int(k), ("cos", "sin")[kind], int(j)) for k, kind, j in np.argwhere(band_mask(n))]
 
 
 def spherical_from_vector(n: int, vec) -> SphericalPoly:
     """Rebuild a SphericalPoly from its canonical coefficient vector."""
     vec = np.asarray(vec, dtype=float)
+    if n < 0:
+        raise InputError("degree must be nonnegative")
     if vec.shape != ((n + 1) ** 2,):
         raise InputError(f"coefficient vector must have length {(n + 1) ** 2}")
-    a = [None] * (n + 1)
-    b: list = [zero()] * (n + 1)
-    pos = 0
-    for k in range(n + 1):
-        width = n - k + 1
-        a[k] = UnivariatePoly(tuple(vec[pos : pos + width]))
-        pos += width
-        if k >= 1:
-            b[k] = UnivariatePoly(tuple(vec[pos : pos + width]))
-            pos += width
-    return SphericalPoly(degree=n, a=tuple(a), b=tuple(b))
+    coef = np.zeros((n + 1, n + 1, 2))
+    _by_band(coef)[band_mask(n)] = vec
+    return SphericalPoly(coef)
 
 
 def random_spherical(n: int, rng: np.random.Generator) -> SphericalPoly:
@@ -137,13 +139,13 @@ def multiply_linear_z(T: SphericalPoly, c: float) -> SphericalPoly:
     argument, this maps a_k(t) to (t - c) a_k(t) band by band.
     """
     n = T.degree
-    lin = UnivariatePoly((-float(c), 1.0))
-    a = [T.a[k] * lin for k in range(n + 1)] + [zero()]
-    b = [zero()] + [T.b[k] * lin for k in range(1, n + 1)] + [zero()]
-    return SphericalPoly(degree=n + 1, a=tuple(a), b=tuple(b))
+    coef = np.zeros((n + 2, n + 2, 2))
+    coef[1:, : n + 1] = T.coef
+    coef[:-1, : n + 1] -= float(c) * T.coef
+    return SphericalPoly(coef)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FoldedForm:
     """Low-frequency form of a degree 2m - 1 polynomial on a fold grid.
 
@@ -160,16 +162,21 @@ class FoldedForm:
     v_k = a_{2m-k} sin(alpha pi) - b_{2m-k} cos(alpha pi), and
     axial = a_m cos(alpha pi / 2) + b_m sin(alpha pi / 2). The u_k and v_k
     have degree at most k - 1.
+
+    Both arrays use the [j, k, kind] layout of ``SphericalPoly.coef``:
+    ``low`` (2m, m + 1, 2) holds a_k and b_k for k < m and the axial band
+    at ``[:, m, 0]``; ``high`` (m, m, 2) holds u_k and v_k.
     """
 
     m: int
     alpha: float
-    a0: UnivariatePoly
-    cos_low: tuple[UnivariatePoly, ...]
-    cos_high: tuple[UnivariatePoly, ...]
-    sin_low: tuple[UnivariatePoly, ...]
-    sin_high: tuple[UnivariatePoly, ...]
-    axial: UnivariatePoly
+    low: np.ndarray
+    high: np.ndarray
+
+    def band_values(self, c: float) -> tuple[np.ndarray, np.ndarray]:
+        """``low`` and ``high`` evaluated at t = c, each indexed [k, kind]."""
+        polyval = np.polynomial.polynomial.polyval
+        return polyval(c, self.low), polyval(c, self.high)
 
     def eval(self, theta: float, phi: float) -> float:
         m = self.m
@@ -178,15 +185,14 @@ class FoldedForm:
             raise InputError(
                 f"phi {phi!r} is not on the fold grid for m={m}, alpha={self.alpha!r}"
             )
-        c = math.cos(theta)
         s = math.sin(theta)
-        val = float(self.a0(c))
-        for idx in range(m - 1):
-            k = idx + 1
-            val += (self.cos_low[idx](c) * s**k + self.cos_high[idx](c) * s ** (2 * m - k)) * math.cos(k * phi)
-            val += (self.sin_low[idx](c) * s**k + self.sin_high[idx](c) * s ** (2 * m - k)) * math.sin(k * phi)
-        val += self.axial(c) * s**m * math.cos(m * phi - self.alpha * math.pi / 2.0)
-        return val
+        low, high = self.band_values(math.cos(theta))
+        val = low[0, 0]
+        for k in range(1, m):
+            val += (low[k, 0] * s**k + high[k, 0] * s ** (2 * m - k)) * math.cos(k * phi)
+            val += (low[k, 1] * s**k + high[k, 1] * s ** (2 * m - k)) * math.sin(k * phi)
+        val += low[m, 0] * s**m * math.cos(m * phi - self.alpha * math.pi / 2.0)
+        return float(val)
 
 
 def fold_azimuth_modes(T: SphericalPoly, alpha: float, m: int) -> FoldedForm:
@@ -202,21 +208,12 @@ def fold_azimuth_modes(T: SphericalPoly, alpha: float, m: int) -> FoldedForm:
         raise InputError(f"degree must be {2 * m - 1} for m={m}, got {T.degree}")
     ca = math.cos(alpha * math.pi)
     sa = math.sin(alpha * math.pi)
-    cos_low, cos_high, sin_low, sin_high = [], [], [], []
-    for k in range(1, m):
-        hi_a, hi_b = T.a[2 * m - k], T.b[2 * m - k]
-        cos_low.append(T.a[k])
-        sin_low.append(T.b[k])
-        cos_high.append(ca * hi_a + sa * hi_b)
-        sin_high.append(sa * hi_a + (-ca) * hi_b)
-    axial = math.cos(alpha * math.pi / 2.0) * T.a[m] + math.sin(alpha * math.pi / 2.0) * T.b[m]
-    return FoldedForm(
-        m=m,
-        alpha=float(alpha),
-        a0=T.a[0],
-        cos_low=tuple(cos_low),
-        cos_high=tuple(cos_high),
-        sin_low=tuple(sin_low),
-        sin_high=tuple(sin_high),
-        axial=axial,
-    )
+    low = np.array(T.coef[:, : m + 1])
+    ch, sh = math.cos(alpha * math.pi / 2.0), math.sin(alpha * math.pi / 2.0)
+    low[:, m, 0] = ch * T.coef[:, m, 0] + sh * T.coef[:, m, 1]
+    low[:, m, 1] = 0.0
+    hi_a, hi_b = T.coef[:m, 2 * m - 1 : m : -1].transpose(2, 0, 1)  # bands 2m - k, k = 1..m-1
+    high = np.zeros((m, m, 2))
+    high[:, 1:, 0] = ca * hi_a + sa * hi_b
+    high[:, 1:, 1] = sa * hi_a - ca * hi_b
+    return FoldedForm(m=m, alpha=float(alpha), low=low, high=high)

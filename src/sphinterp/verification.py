@@ -53,7 +53,7 @@ from .nodes import (
     mirrored_grid,
     seeded_latitudes,
 )
-from .polynomials import UnivariatePoly, integrate_unit_interval
+from .polynomials import integrate_unit_interval
 from .spherical import (
     SphericalPoly,
     basis_index_order,
@@ -320,22 +320,18 @@ def _plant_vanishing(T: SphericalPoly, theta: float, alpha: float) -> SphericalP
     (a_0, then a_k and b_k for k < m, then a_m or b_m over its axial
     weight), so the shifted polynomial vanishes on the fold grid.
     """
-    n = T.degree
-    m = (n + 1) // 2
+    m = (T.degree + 1) // 2
     res = latitude_vanishing_residuals(T, theta, alpha)
-    a = list(T.a)
-    b = list(T.b)
-    a[0] = a[0] - UnivariatePoly((res[0],))
-    for k in range(1, m):
-        a[k] = a[k] - UnivariatePoly((res[2 * k - 1],))
-        b[k] = b[k] - UnivariatePoly((res[2 * k],))
+    coef = np.array(T.coef)
+    coef[0, 0, 0] -= res[0]
+    coef[0, 1:m] -= np.reshape(res[1:-1], (m - 1, 2))  # a_k, b_k for k < m
     cs2 = math.cos(alpha * _PI / 2.0)
     sn2 = math.sin(alpha * _PI / 2.0)
     if abs(cs2) >= abs(sn2):
-        a[m] = a[m] - UnivariatePoly((res[-1] / cs2,))
+        coef[0, m, 0] -= res[-1] / cs2
     else:
-        b[m] = b[m] - UnivariatePoly((res[-1] / sn2,))
-    return SphericalPoly(degree=n, a=tuple(a), b=tuple(b))
+        coef[0, m, 1] -= res[-1] / sn2
+    return SphericalPoly(coef)
 
 
 def lemmas_suite(mmax: int = 6, fold_trials: int = 50, seed: int = 0) -> list[dict]:
@@ -350,7 +346,7 @@ def lemmas_suite(mmax: int = 6, fold_trials: int = 50, seed: int = 0) -> list[di
                 folded = fold_azimuth_modes(T, alpha, m)
                 theta = float(rng.uniform(0.1, _PI - 0.1))
                 phis = azimuth_grid(m, alpha).angles
-                direct = [float(T.eval(theta, ph)) for ph in phis]
+                direct = T.eval(theta, np.array(phis)).tolist()
                 scale = max(1.0, max(abs(v) for v in direct))
                 diff = max(
                     abs(folded.eval(theta, ph) - v) for ph, v in zip(phis, direct)
@@ -371,8 +367,7 @@ def lemmas_suite(mmax: int = 6, fold_trials: int = 50, seed: int = 0) -> list[di
         if trial % 2 == 0:
             T = _plant_vanishing(T, theta, alpha)
         scale = max(1.0, T.coeff_scale())
-        phis = azimuth_grid(m, alpha).angles
-        max_val = max(abs(float(T.eval(theta, ph))) for ph in phis)
+        max_val = float(np.max(np.abs(T.eval(theta, np.array(azimuth_grid(m, alpha).angles)))))
         max_res = max(abs(v) for v in latitude_vanishing_residuals(T, theta, alpha))
         vals_small = max_val <= TOL_VANISH_EQUIV * scale
         res_small = max_res <= TOL_VANISH_EQUIV * scale
@@ -450,7 +445,7 @@ def cubature_suite(mmax: int = 6, trig_trials: int = 50, seed: int = 0) -> list[
         except PoisednessError as exc:
             rows.append(_row("cubature", f"m{m}-legendre", "interp_consistency", exc.condition_estimate, "solve raised", False))
         else:
-            via_interp = 2.0 * _PI * integrate_unit_interval(report.solution.a[0])
+            via_interp = 2.0 * _PI * integrate_unit_interval(report.solution.coef[:, 0, 0])
             via_rule = apply_rule(rule, f)
             diff = abs(via_interp - via_rule)
             rows.append(

@@ -8,15 +8,11 @@ pass/fail lines on stdout. Tolerances are pinned here and in
 import math
 import time
 
-import numpy as np
 import pytest
 
 from sphinterp import cli
 from sphinterp import verification as V
-from sphinterp import (
-    basis_index_order,
-    enumerate_partitions,
-)
+from sphinterp import enumerate_partitions
 
 PI = math.pi
 

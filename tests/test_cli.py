@@ -1,5 +1,6 @@
 """End-to-end CLI tests driven through subprocesses."""
 
+import codecs
 import csv
 import json
 import math
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 import sphinterp
-from sphinterp import NodeSet, SphericalPoly, UnivariatePoly, random_spherical
+from sphinterp import InterpolationProblem, NodeSet, SphericalPoly, random_spherical, solve
 from sphinterp.verification import TOL_EXACTNESS
 
 
@@ -549,11 +550,11 @@ def test_eval_grid_matches_pointwise_evaluation(tmp_path: Path):
     )
     assert res.returncode == 0, res.stderr
     c = json.loads(coeffs.read_text())
-    sol = SphericalPoly(
-        degree=c["n"],
-        a=tuple(UnivariatePoly(tuple(p)) for p in c["a"]),
-        b=tuple(UnivariatePoly(tuple(p)) for p in c["b"]),
-    )
+    coef = np.zeros((c["n"] + 1, c["n"] + 1, 2))
+    for k, (a, b) in enumerate(zip(c["a"], c["b"])):
+        coef[: len(a), k, 0] = a
+        coef[: len(b), k, 1] = b
+    sol = SphericalPoly(coef)
     rows = list(csv.reader(grid.read_text().splitlines()))[1:]
     assert len(rows) == 5 * 10
     for k, (th, ph, val) in enumerate(rows):
@@ -561,6 +562,27 @@ def test_eval_grid_matches_pointwise_evaluation(tmp_path: Path):
         assert float(th) == (i + 0.5) * math.pi / 5
         assert float(ph) == j * math.pi / 5
         assert float(val) == pytest.approx(sol.eval(float(th), float(ph)), abs=1e-13)
+
+
+def test_coeffs_json_lists_the_bands_in_canonical_order(tmp_path: Path):
+    n = 9
+    nodes_path, coeffs = tmp_path / "nodes.json", tmp_path / "coeffs.json"
+    assert run_cli("gen-nodes", "--n", str(n), "--plan", "2,1,2", "--out", str(nodes_path)).returncode == 0
+    res = run_cli(
+        "interpolate", "--nodes", str(nodes_path), "--function", "expz",
+        "--out-coeffs", str(coeffs), "--out-report", str(tmp_path / "r.json"),
+    )
+    assert res.returncode == 0, res.stderr
+    c = json.loads(coeffs.read_text())
+    a, b = c["a"], c["b"]
+    assert c["n"] == n and len(a) == len(b) == n + 1
+    assert [len(band) for band in a] == [n - k + 1 for k in range(n + 1)]
+    assert b[0] == [0.0]
+    assert [len(band) for band in b[1:]] == [len(band) for band in a[1:]]
+    flat = a[0] + [v for k in range(1, n + 1) for v in a[k] + b[k]]
+    nodes = NodeSet.from_json_dict(json.loads(nodes_path.read_text()))
+    data = tuple(math.exp(math.cos(th)) for th, _ in nodes.points())
+    assert flat == solve(InterpolationProblem(nodes=nodes, data=data)).solution.coefficient_vector().tolist()
 
 
 def test_interpolate_report_is_byte_reproducible_at_n21(tmp_path: Path):
@@ -611,6 +633,57 @@ def test_import_leaves_scipy_unloaded():
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=package_env())
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == "[]"
+
+
+def test_import_leaves_numpy_polynomial_unloaded():
+    # spherical and factorization reach np.polynomial at the call, so CLI
+    # start-up does not pay for importing it
+    code = "import sys, sphinterp.cli; print('numpy.polynomial' in sys.modules)"
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=package_env())
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize(
+    "case", ["data-with-header", "data-without-header", "nodes", "gen-nodes-lat-file", "cubature-lat-file"]
+)
+def test_inputs_with_utf8_bom_read_like_plain_ones(tmp_path: Path, case):
+    nodes = tmp_path / "nodes.json"
+    assert run_cli("gen-nodes", "--n", "3", "--plan", "1,1", "--out", str(nodes)).returncode == 0
+    outs = [tmp_path / "out1.json", tmp_path / "out2.json"]
+    interpolate = ["interpolate", "--out-coeffs", str(outs[0]), "--out-report", str(outs[1]), "--nodes"]
+    if case.startswith("data"):
+        points = NodeSet.from_json_dict(json.loads(nodes.read_text())).points()
+        rows = [f"{i},{math.cos(th)!r}" for i, (th, _) in enumerate(points)]
+        src = tmp_path / "data.csv"
+        src.write_text("\n".join(["index,value"] * (case == "data-with-header") + rows) + "\n")
+        args = lambda path: [*interpolate, str(nodes), "--data", str(path)]
+    elif case == "nodes":
+        src = nodes
+        args = lambda path: [*interpolate, str(path), "--function", "expz"]
+    elif case == "gen-nodes-lat-file":
+        src = tmp_path / "lats.json"
+        src.write_text(json.dumps([[math.pi / 6, math.pi / 3]]))
+        args = lambda path: [
+            "gen-nodes", "--n", "3", "--plan", "2", "--latitudes", "file", "--lat-file", str(path), "--out", str(outs[0]),
+        ]
+    else:
+        src = tmp_path / "lats.json"
+        src.write_text(json.dumps([0.4, 0.9, math.pi - 0.9, math.pi - 0.4]))
+        args = lambda path: [
+            "cubature", "--m", "2", "--latitudes", "file", "--lat-file", str(path),
+            "--out-rule", str(outs[0]), "--out-cert", str(outs[1]),
+        ]
+    bom = tmp_path / f"bom-{src.name}"
+    bom.write_bytes(codecs.BOM_UTF8 + src.read_bytes())
+    runs = []
+    for path in (src, bom):
+        for out in outs:
+            out.unlink(missing_ok=True)
+        res = run_cli(*args(path))
+        assert res.returncode == 0, res.stderr
+        runs.append((res.stdout, [out.read_bytes() for out in outs if out.exists()]))
+    assert runs[0][1] and runs[0] == runs[1]
 
 
 def test_verify_poisedness_records_a_raising_solve_as_failure(tmp_path: Path, monkeypatch):

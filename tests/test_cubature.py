@@ -318,6 +318,6 @@ def test_integrating_interpolant_matches_rule():
     f = lambda th, ph: math.exp(math.cos(th)) + math.sin(th) * math.cos(ph)
     data = [f(th, ph) for th, ph in nodes.points()]
     report = solve(InterpolationProblem(nodes=nodes, data=tuple(data)))
-    via_interp = 2.0 * PI * integrate_unit_interval(report.solution.a[0])
+    via_interp = 2.0 * PI * integrate_unit_interval(report.solution.coef[:, 0, 0])
     via_rule = apply_rule(rule, f)
     assert via_interp == pytest.approx(via_rule, abs=1e-8)

@@ -77,7 +77,7 @@ def test_solve_constant_data():
     nodes = example_nodes()
     report = solve(InterpolationProblem(nodes=nodes, data=(1.0,) * 16))
     sol = report.solution
-    assert sol.a[0].coeffs[0] == pytest.approx(1.0, abs=1e-12)
+    assert sol.coef[0, 0, 0] == pytest.approx(1.0, abs=1e-12)
     vec = sol.coefficient_vector()
     vec[basis_index_order(3).index((0, "cos", 0))] = 0.0
     assert np.max(np.abs(vec)) < 1e-10

@@ -1,4 +1,4 @@
-"""Tests for the band representation of spherical polynomials."""
+"""Tests for the coefficient-array representation of spherical polynomials."""
 
 import math
 
@@ -8,25 +8,20 @@ import pytest
 from sphinterp import (
     InputError,
     SphericalPoly,
+    band_mask,
     basis_index_order,
     fold_azimuth_modes,
     multiply_linear_z,
-    poly,
     random_spherical,
     spherical_from_vector,
-    zero,
     zero_spherical,
 )
 
 
 def band_poly(n, k, kind, coeffs):
-    a = [zero()] * (n + 1)
-    b = [zero()] * (n + 1)
-    if kind == "a":
-        a[k] = poly(coeffs)
-    else:
-        b[k] = poly(coeffs)
-    return SphericalPoly(degree=n, a=tuple(a), b=tuple(b))
+    coef = np.zeros((n + 1, n + 1, 2))
+    coef[: len(coeffs), k, "ab".index(kind)] = coeffs
+    return SphericalPoly(coef)
 
 
 def test_eval_constant():
@@ -58,7 +53,73 @@ def test_degree_bounds_enforced():
     with pytest.raises(InputError):
         band_poly(2, 1, "a", [1.0, 2.0, 3.0])  # deg 2 > n - k = 1
     with pytest.raises(InputError):
-        SphericalPoly(degree=1, a=(zero(), zero()), b=(poly([1.0]), zero()))
+        band_poly(1, 0, "b", [1.0])  # there is no b_0
+
+
+@pytest.mark.parametrize("shape", [(4, 4), (4, 3, 2), (3, 3, 3), (0, 0, 2)])
+def test_constructor_rejects_wrong_shape(shape):
+    with pytest.raises(InputError, match="shape"):
+        SphericalPoly(np.zeros(shape))
+
+
+@pytest.mark.parametrize("build", [zero_spherical, lambda n: spherical_from_vector(n, [1.0])])
+@pytest.mark.parametrize("n", [-1, -2])
+def test_negative_degree_is_input_error(build, n):
+    with pytest.raises(InputError):
+        build(n)
+
+
+def test_constructor_rejects_every_slot_outside_the_bands():
+    n = 3
+    mask = band_mask(n)
+    outside = np.argwhere(~mask)
+    # the array has 2 (n + 1)**2 slots, (n + 1)**2 of them in the bands
+    assert len(outside) == (n + 1) ** 2
+    for k, kind, j in outside:
+        coef = np.zeros((n + 1, n + 1, 2))
+        coef[j, k, kind] = 1e-300
+        with pytest.raises(InputError, match=f"{'ab'[kind]}_{k}"):
+            SphericalPoly(coef)
+    for k, kind, j in np.argwhere(mask):
+        coef = np.zeros((n + 1, n + 1, 2))
+        coef[j, k, kind] = 1.0
+        assert SphericalPoly(coef).coefficient_vector().sum() == 1.0
+
+
+def test_constructor_copies_and_freezes():
+    coef = np.zeros((2, 2, 2))
+    T = SphericalPoly(coef)
+    coef[0, 0, 0] = 5.0
+    assert T.coef[0, 0, 0] == 0.0
+    with pytest.raises(ValueError):
+        T.coef[0, 0, 0] = 1.0
+    assert T.degree == 1
+
+
+def test_eval_matches_scalar_horner_bit_for_bit():
+    # reference: scalar Horner band by band, in the summation order of
+    # SphericalPoly.eval; the two must agree exactly
+    rng = np.random.default_rng(8)
+    n = 7
+    T = random_spherical(n, rng)
+    theta = rng.uniform(0.0, math.pi, size=20)
+    phi = rng.uniform(0.0, 2.0 * math.pi, size=20)
+    got = T.eval(theta, phi)
+    for th, ph, value in zip(theta, phi, got):
+        c, s = np.cos(th), np.sin(th)
+        ref, sk = 0.0, 1.0
+        for k in range(n + 1):
+            a = b = 0.0 * c
+            for j in range(n - k, -1, -1):
+                a = a * c + T.coef[j, k, 0]
+                b = b * c + T.coef[j, k, 1]
+            if k == 0:
+                ref = a
+                continue
+            sk = sk * s
+            ref = ref + a * sk * np.cos(k * ph)
+            ref = ref + b * sk * np.sin(k * ph)
+        assert value == ref
 
 
 def test_basis_counts():
@@ -103,11 +164,13 @@ def test_fixed_theta_slice_is_low_degree_trig(n):
     assert np.max(np.abs(spectrum[n + 1 :])) < 1e-10
 
 
-def test_coefficient_vector_roundtrip():
+@pytest.mark.parametrize("n", range(7))
+def test_coefficient_vector_roundtrip(n):
     rng = np.random.default_rng(2)
-    T = random_spherical(4, rng)
-    back = spherical_from_vector(4, T.coefficient_vector())
-    assert np.allclose(back.coefficient_vector(), T.coefficient_vector(), atol=0.0)
+    T = random_spherical(n, rng)
+    back = spherical_from_vector(n, T.coefficient_vector())
+    assert np.array_equal(back.coefficient_vector(), T.coefficient_vector())
+    assert np.array_equal(back.coef, T.coef)
 
 
 def test_multiply_linear_z_matches_pointwise():
@@ -124,8 +187,8 @@ def test_fold_constant_is_constant():
     T = band_poly(1, 0, "a", [1.0])
     for alpha in (0.0, 1.0, 0.37):
         folded = fold_azimuth_modes(T, alpha, 1)
-        assert folded.a0.coeffs == (1.0,)
-        assert folded.axial.is_zero()
+        assert folded.low[:, 0, 0].tolist() == [1.0, 0.0]
+        assert not np.any(folded.low[:, 1, 0])  # the axial band
 
 
 def test_fold_alpha_zero_highband_signs():
@@ -137,8 +200,8 @@ def test_fold_alpha_zero_highband_signs():
     folded = fold_azimuth_modes(T, 0.0, m)
     for idx in range(m - 1):
         k = idx + 1
-        assert np.allclose(folded.cos_high[idx].coeffs, T.a[2 * m - k].coeffs)
-        assert np.allclose(folded.sin_high[idx].coeffs, (-1.0 * T.b[2 * m - k]).coeffs)
+        assert np.allclose(folded.high[:k, k, 0], T.coef[:k, 2 * m - k, 0])
+        assert np.allclose(folded.high[:k, k, 1], -1.0 * T.coef[:k, 2 * m - k, 1])
 
 
 def test_fold_high_band_degrees():
@@ -148,8 +211,7 @@ def test_fold_high_band_degrees():
     folded = fold_azimuth_modes(T, 0.37, m)
     for idx in range(m - 1):
         k = idx + 1
-        assert folded.cos_high[idx].degree <= k - 1
-        assert folded.sin_high[idx].degree <= k - 1
+        assert not np.any(folded.high[k:, k])  # degree at most k - 1
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
@@ -186,9 +248,10 @@ def test_eval_spherical_agrees_with_band_formula():
     T = random_spherical(n, rng)
     th, ph = 0.9, 2.7
     c, s = math.cos(th), math.sin(th)
-    direct = float(T.a[0](c))
+    direct = float(T.coef[:, 0, 0] @ c ** np.arange(n + 1))
     for k in range(1, n + 1):
-        direct += float(T.a[k](c)) * s**k * math.cos(k * ph)
-        direct += float(T.b[k](c)) * s**k * math.sin(k * ph)
+        a, b = T.coef[:, k].T @ c ** np.arange(n + 1)
+        direct += float(a) * s**k * math.cos(k * ph)
+        direct += float(b) * s**k * math.sin(k * ph)
     assert T.eval(th, ph) == pytest.approx(direct, rel=1e-14)
 
