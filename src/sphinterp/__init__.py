@@ -48,9 +48,6 @@ from .interpolation import (
 )
 from .nodes import (
     TOL_MIRROR,
-    AzimuthGrid,
-    LatitudeRing,
-    NodeGroup,
     NodeSet,
     PartitionPlan,
     azimuth_grid,
@@ -62,7 +59,7 @@ from .nodes import (
     equispaced_latitudes,
     legendre_latitudes,
     mirror,
-    mirrored_grid,
+    mirror_alphas,
     seeded_latitudes,
 )
 from .polynomials import (

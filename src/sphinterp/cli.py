@@ -153,7 +153,7 @@ def cmd_interpolate(args) -> int:
     count = nodes.count()
     if args.function is not None:
         f = _builtin(args.function)
-        data = [f(th, ph) for th, ph in nodes.points()]
+        data = [f(th, ph) for th, ph in nodes.points().tolist()]
     else:
         data = _read_data_csv(args.data, count)
     report = solve(InterpolationProblem(nodes=nodes, data=tuple(data)))

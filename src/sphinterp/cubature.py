@@ -23,13 +23,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import InputError, WeightSumError
-from .nodes import (
-    LatitudeRing,
-    azimuth_grid,
-    check_mirrored,
-    legendre_latitudes,
-    mirrored_grid,
-)
+from .nodes import azimuth_grid, check_mirrored, legendre_latitudes, mirror_alphas, read_count
 from .spherical import band_mask
 
 _PI = math.pi
@@ -41,8 +35,7 @@ class CubatureRule:
     """2m symmetric latitudes x 2m azimuths with per-latitude weights.
 
     ``weights[i]`` integrates the i-th Lagrange cardinal of the cos(theta)
-    grid; they sum to 2. Latitudes i < m use the unrotated azimuth grid,
-    the mirrored ones the half-step rotated grid.
+    grid; they sum to 2. The azimuth tags come from ``mirror_alphas``.
     """
 
     m: int
@@ -59,8 +52,9 @@ class CubatureRule:
         if not abs(total - 2.0) <= TOL_WEIGHT_SUM:
             raise InputError(f"weights must sum to 2, got {total!r}")
 
-    def rings(self) -> tuple[LatitudeRing, ...]:
-        return mirrored_grid(self.latitudes, self.m)
+    def azimuths(self) -> np.ndarray:
+        """(2m, 2m) array: row i holds the azimuths of latitude i."""
+        return azimuth_grid(self.m, mirror_alphas(2 * self.m))
 
     def node_count(self) -> int:
         return 4 * self.m * self.m
@@ -69,8 +63,8 @@ class CubatureRule:
         """Flattened (theta, phi, node_weight) triples."""
         return [
             (th, ph, (_PI / self.m) * w)
-            for ring, w in zip(self.rings(), self.weights)
-            for th, ph in ring.points()
+            for th, w, phis in zip(self.latitudes, self.weights, self.azimuths().tolist())
+            for ph in phis
         ]
 
     def to_json_dict(self) -> dict:
@@ -84,7 +78,7 @@ class CubatureRule:
     @staticmethod
     def from_json_dict(data: dict) -> "CubatureRule":
         try:
-            m = int(data["m"])
+            m = read_count(data["m"], "m")
             latitudes = tuple(float(t) for t in data["latitudes"])
             weights = tuple(float(w) for w in data["weights"])
         except (KeyError, TypeError, ValueError) as exc:
@@ -131,10 +125,10 @@ def apply_rule(rule: CubatureRule, f: Callable[[float, float], float]) -> float:
     applications are bitwise reproducible.
     """
     total = 0.0
-    for ring, w in zip(rule.rings(), rule.weights):
+    for th, w, phis in zip(rule.latitudes, rule.weights, rule.azimuths().tolist()):
         ring_sum = 0.0
-        for ph in ring.grid.angles:
-            ring_sum += f(ring.theta, ph)
+        for ph in phis:
+            ring_sum += f(th, ph)
         total += w * ring_sum
     return (_PI / rule.m) * total
 
@@ -158,7 +152,7 @@ def trig_quadrature_check(
     if trials < 1:
         raise InputError(f"trials must be a positive integer, got {trials}")
     rng = np.random.default_rng(seed)
-    phis = np.array(azimuth_grid(m, alpha).angles)
+    phis = azimuth_grid(m, alpha)
     worst = 0.0
     for _ in range(trials):
         c0 = float(rng.standard_normal())
@@ -198,15 +192,14 @@ def exactness_certificate(rule: CubatureRule) -> ExactnessReport:
     back in ``basis_index_order``.
     """
     n = 2 * rule.m - 1
-    rings = rule.rings()
     freqs = np.arange(n + 1)
-    cos_sums = np.empty((len(rings), n + 1))
-    sin_sums = np.empty((len(rings), n + 1))
-    for i, ring in enumerate(rings):
-        kphi = np.outer(freqs, ring.grid.angles)
+    cos_sums = np.empty((2 * rule.m, n + 1))
+    sin_sums = np.empty((2 * rule.m, n + 1))
+    for i, phis in enumerate(rule.azimuths()):
+        kphi = np.outer(freqs, phis)
         cos_sums[i] = np.cos(kphi).sum(axis=1)
         sin_sums[i] = np.sin(kphi).sum(axis=1)
-    theta = np.array([ring.theta for ring in rings])
+    theta = np.array(rule.latitudes)
     # band[i, k] = (pi / m) w_i s_i**k; powers[i, j] = t_i**j
     band = (_PI / rule.m) * np.array(rule.weights)[:, None] * np.sin(theta)[:, None] ** freqs
     powers = np.vander(np.cos(theta), N=n + 1, increasing=True)

@@ -32,7 +32,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DivisibilityError, InputError, InternalInconsistencyError
-from .nodes import NodeSet, check_mirrored, mirrored_grid
+from .nodes import NodeSet, azimuth_grid, check_mirrored, mirror_alphas
 from .polynomials import divide_by_linear_factors
 from .spherical import SphericalPoly, fold_azimuth_modes, zero_spherical
 
@@ -284,7 +284,8 @@ def factor_step(T: SphericalPoly, m: int, lam: int, thetas: Sequence[float]) -> 
         raise InputError(f"need {2 * lam} latitudes, got {len(ths)}")
 
     bound = VANISH_TOL * max(_reference_sup(T), _TINY)
-    th, ph = np.array([pt for ring in mirrored_grid(ths, m) for pt in ring.points()]).T
+    th = np.repeat(ths, 2 * m)
+    ph = azimuth_grid(m, mirror_alphas(len(ths))).ravel()
     vals = np.abs(T.eval(th, ph))
     bad = np.flatnonzero(vals > bound)
     if bad.size:
@@ -328,8 +329,8 @@ def factor_chain(T: SphericalPoly, nodes: NodeSet) -> list[SphericalPoly]:
     if T.degree != plan.n:
         raise InputError(f"deg T = {T.degree} must equal n = {plan.n}")
     quotients = []
-    for group, m, lam in zip(nodes.groups, plan.azimuth_half_counts(), plan.lambdas):
-        T = factor_step(T, m=m, lam=lam, thetas=[ring.theta for ring in group.rings])
+    for rings, m, lam in zip(plan.ring_slices(), plan.azimuth_half_counts(), plan.lambdas):
+        T = factor_step(T, m=m, lam=lam, thetas=nodes.theta[rings])
         quotients.append(T)
     return quotients
 
@@ -379,13 +380,10 @@ def chain_kernel_certificate(nodes: NodeSet) -> ChainKernelCertificate:
     """
     plan = nodes.plan
     steps = []
-    group_cos: list[list[float]] = []
-    for k, group in enumerate(nodes.groups):
-        lam = plan.lambdas[k]
-        ths = [ring.theta for ring in group.rings]
-        t_all = [math.cos(th) for th in ths]
-        group_cos.append(t_all)
-        t_north = [abs(math.cos(th)) for th in ths[:lam]]
+    cosines = [math.cos(th) for th in nodes.theta.tolist()]
+    for k, (rings, lam) in enumerate(zip(plan.ring_slices(), plan.lambdas)):
+        t_all = cosines[rings]
+        t_north = [abs(t) for t in t_all[:lam]]
         if len(set(t_north)) != len(t_north):
             steps.append(
                 StepCertificate(group=k + 1, vandermonde_full=0.0, vandermonde_half=0.0, mixed_parity=())
@@ -405,12 +403,11 @@ def chain_kernel_certificate(nodes: NodeSet) -> ChainKernelCertificate:
                 mixed_parity=mixed,
             )
         )
-    separation = math.inf
-    for g1 in range(len(group_cos)):
-        for g2 in range(g1 + 1, len(group_cos)):
-            for c1 in group_cos[g1]:
-                for c2 in group_cos[g2]:
-                    separation = min(separation, abs(c1 - c2))
+    # smallest |cos theta_i - cos theta_j| over rings i, j of different groups
+    t = np.array(cosines)
+    group = np.repeat(np.arange(plan.sigma), 2 * np.array(plan.lambdas))
+    apart = group[:, None] < group[None, :]
+    separation = float(np.min(np.abs(t[:, None] - t[None, :]), where=apart, initial=math.inf))
     min_sigma = min(step.min_sigma() for step in steps)
     passed = min_sigma > SIGMA_TOL and separation > 0.0
     return ChainKernelCertificate(

@@ -90,8 +90,7 @@ def assemble_at_points(n: int, points: Sequence[tuple[float, float]]) -> np.ndar
     point i. Columns are built band by band from the structural form
     t**j sin**k cos(k phi), which agrees with evaluating each basis element.
     """
-    th = np.array([p[0] for p in points], dtype=float)
-    ph = np.array([p[1] for p in points], dtype=float)
+    th, ph = np.asarray(points, dtype=float).reshape(-1, 2).T
     t = np.cos(th)
     s = np.sin(th)
     tp = np.vander(t, N=n + 1, increasing=True)
@@ -185,14 +184,13 @@ class _Chain:
         plan = nodes.plan
         n = plan.n
         self.size = (n + 1) ** 2
-        rings = [ring for group in nodes.groups for ring in group.rings]
-        theta = np.array([ring.theta for ring in rings])
-        self.t = np.cos(theta)
+        self.t = np.cos(nodes.theta)
         powers = np.arange(n + 1)
         self.t_pow = self.t[:, None] ** powers
-        self.s_pow = np.sin(theta)[:, None] ** powers
-        self.node_ring = np.repeat(np.arange(len(rings)), [ring.grid.count for ring in rings])
-        kphi = np.outer(np.concatenate([ring.grid.angles for ring in rings]), powers)
+        self.s_pow = np.sin(nodes.theta)[:, None] ** powers
+        ring_sizes = np.repeat(2 * np.array(plan.azimuth_half_counts()), 2 * np.array(plan.lambdas))
+        self.node_ring = np.repeat(np.arange(n + 1), ring_sizes)
+        kphi = np.outer(nodes.points()[:, 1], powers)
         self.cos = np.cos(kphi)
         self.sin = np.sin(kphi)
         # row sums of |A|: sum_k s**k (sum_{j <= n - k} |t|**j) (|cos k phi| + |sin k phi|)
@@ -202,13 +200,13 @@ class _Chain:
 
         self.groups: list[_Group] = []
         r0 = o0 = 0
-        psi = np.ones(len(rings))
-        for group, lam, s, d in zip(nodes.groups, plan.lambdas, plan.azimuth_half_counts(), plan.degrees()):
+        psi = np.ones(n + 1)
+        for lam, s, d in zip(plan.lambdas, plan.azimuth_half_counts(), plan.degrees()):
             r1 = r0 + 2 * lam
             o1 = o0 + 2 * lam * 2 * s
             t = self.t[r0:r1]
             mid, mid_index, end, end_index = _class_blocks(
-                t, self.s_pow[r0:r1, 1], [ring.alpha for ring in group.rings], lam, s, d
+                t, self.s_pow[r0:r1, 1], nodes.alpha[r0:r1], lam, s, d
             )
             pi_rings = np.prod(self.t[r1:, None] - t[None, :], axis=1)
             self.groups.append(

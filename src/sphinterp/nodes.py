@@ -2,17 +2,20 @@
 
 A node set is organized in groups of symmetric latitude pairs. Group k of a
 plan (lambda_1, ..., lambda_sigma) carries 2 lambda_k latitudes, each with
-an even number of equidistant azimuths; the azimuth count shrinks from group
-to group following the degree sequence n_k = n_{k-1} - 2 lambda_k. The
-northern latitude of each mirror pair uses the unrotated azimuth grid and
-the southern one the half-step rotated grid, so points on mirrored
-latitudes differ by a rotation of pi / (2 s).
+the 2 s_k equidistant azimuths (2j + alpha) pi / (2 s_k); the azimuth count
+shrinks from group to group following the degree sequence
+n_k = n_{k-1} - 2 lambda_k. The northern latitude of each mirror pair uses
+the unrotated grid (alpha = 0) and the southern one the half-step rotated
+grid (alpha = 1), so points on mirrored latitudes differ by a rotation of
+pi / (2 s). A ``NodeSet`` is therefore its plan plus two numbers per ring,
+the polar angle and the azimuth tag; every point is derived from them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
@@ -24,26 +27,34 @@ _PI = math.pi
 TOL_MIRROR = 1e-14  # largest accepted |theta_south - (pi - theta_north)|
 
 
-@dataclass(frozen=True)
-class AzimuthGrid:
-    """2s equidistant azimuths (2j + alpha) pi / (2s), j = 0..2s-1."""
+def azimuth_grid(s: int, alpha) -> np.ndarray:
+    """The 2s equidistant azimuths (2j + alpha) pi / (2s), j = 0..2s-1.
 
-    s: int
-    alpha: float
-    angles: tuple[float, ...]
-
-    @property
-    def count(self) -> int:
-        return 2 * self.s
-
-
-def azimuth_grid(s: int, alpha: float) -> AzimuthGrid:
+    ``alpha`` is one tag in [0, 2) or an array of them; the result has
+    shape ``np.shape(alpha) + (2s,)``.
+    """
     if s < 1:
         raise InputError("s must be a positive integer")
-    if not 0.0 <= alpha < 2.0:
-        raise InputError(f"alpha must lie in [0, 2), got {alpha!r}")
-    angles = tuple((2 * j + alpha) * _PI / (2 * s) for j in range(2 * s))
-    return AzimuthGrid(s=s, alpha=float(alpha), angles=angles)
+    alpha = np.asarray(alpha, dtype=float)
+    if not np.all((alpha >= 0.0) & (alpha < 2.0)):
+        raise InputError(f"alpha must lie in [0, 2), got {alpha.tolist()!r}")
+    return (2 * np.arange(2 * s) + alpha[..., None]) * _PI / (2 * s)
+
+
+def mirror_alphas(count: int) -> np.ndarray:
+    """Azimuth tags of ``count`` mirror-paired rings in ``mirror`` order.
+
+    The northern half gets the unrotated grid (alpha = 0), the mirrored
+    half the half-step rotated grid (alpha = 1).
+    """
+    return (np.arange(count) >= count // 2).astype(float)
+
+
+def read_count(value, name: str) -> int:
+    """``value`` if it is an integer (a JSON ``true`` is not), else ``InputError``."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InputError(f"{name} must be an integer, got {value!r}")
+    return value
 
 
 def mirror(north: Sequence[float]) -> list[float]:
@@ -123,6 +134,11 @@ class PartitionPlan:
         degs = self.degrees()
         return tuple(degs[k] - self.lambdas[k] + 1 for k in range(self.sigma))
 
+    def ring_slices(self) -> tuple[slice, ...]:
+        """The 2 lambda_k rings of each group in a node set's ring order."""
+        ends = list(accumulate((2 * lam for lam in self.lambdas), initial=0))
+        return tuple(slice(a, b) for a, b in zip(ends, ends[1:]))
+
     def point_count(self) -> int:
         return (self.n + 1) ** 2
 
@@ -160,136 +176,110 @@ def enumerate_partitions(n: int) -> list[PartitionPlan]:
     return [PartitionPlan(n=n, lambdas=c) for c in comps]
 
 
-@dataclass(frozen=True)
-class LatitudeRing:
-    """One latitude circle: polar angle, grid rotation tag, azimuth grid."""
-
-    theta: float
-    alpha: float
-    grid: AzimuthGrid
-
-    def points(self) -> list[tuple[float, float]]:
-        return [(self.theta, phi) for phi in self.grid.angles]
-
-
-def mirrored_grid(thetas: Sequence[float], s: int) -> tuple[LatitudeRing, ...]:
-    """Rings of 2s azimuths on mirror-paired latitudes.
-
-    The first half of ``thetas`` (the northern rings) gets the unrotated
-    grid (alpha = 0), the mirrored half the half-step rotated grid
-    (alpha = 1).
-    """
-    half = len(thetas) // 2
-    rings = []
-    for i, th in enumerate(thetas):
-        grid = azimuth_grid(s, 0.0 if i < half else 1.0)
-        rings.append(LatitudeRing(theta=float(th), alpha=grid.alpha, grid=grid))
-    return tuple(rings)
-
-
-@dataclass(frozen=True)
-class NodeGroup:
-    index: int  # 1-based position in the plan
-    s: int
-    rings: tuple[LatitudeRing, ...]
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NodeSet:
-    """Full interpolation grid for a plan: (n + 1)**2 points on S^2."""
+    """Full interpolation grid for a plan: (n + 1)**2 points on S^2.
+
+    ``theta[i]`` and ``alpha[i]`` are the polar angle and azimuth tag of
+    ring i, group by group (``plan.ring_slices()``); a ring of group k
+    carries the 2 s_k azimuths ``azimuth_grid(s_k, alpha[i])``. Both are
+    stored as read-only float copies.
+    """
 
     plan: PartitionPlan
-    groups: tuple[NodeGroup, ...]
+    theta: np.ndarray
+    alpha: np.ndarray
 
     def __post_init__(self):
-        plan = self.plan
-        if len(self.groups) != plan.sigma:
-            raise InputError("group count must match the plan")
-        half_counts = plan.azimuth_half_counts()
-        thetas: list[float] = []
-        for k, group in enumerate(self.groups):
-            lam = plan.lambdas[k]
-            if group.s != half_counts[k]:
-                raise InputError(
-                    f"group {k + 1} azimuth half-count {group.s} != {half_counts[k]}"
-                )
-            if len(group.rings) != 2 * lam:
-                raise InputError(f"group {k + 1} must have {2 * lam} latitudes")
-            for ring in group.rings:
-                if ring.grid.s != group.s:
-                    raise InputError("ring grid size must match its group")
-                if ring.grid.alpha != ring.alpha:
-                    raise InputError(
-                        f"ring alpha {ring.alpha!r} differs from its grid's {ring.grid.alpha!r}"
-                    )
-            thetas += check_mirrored([ring.theta for ring in group.rings])
-        if len(set(thetas)) != len(thetas):
+        rings = self.plan.n + 1
+        for name in ("theta", "alpha"):
+            values = np.array(getattr(self, name), dtype=float)
+            if values.shape != (rings,):
+                raise InputError(f"{name} must hold one value per ring, shape ({rings},), got {values.shape}")
+            values.flags.writeable = False
+            object.__setattr__(self, name, values)
+        if not np.all((self.alpha >= 0.0) & (self.alpha < 2.0)):
+            raise InputError(f"azimuth tags must lie in [0, 2), got {self.alpha.tolist()!r}")
+        for ring in self.plan.ring_slices():
+            check_mirrored(self.theta[ring])
+        if np.unique(self.theta).size != rings:
             raise InputError("latitudes must be pairwise distinct across all groups")
-        if self.count() != plan.point_count():
-            raise InputError("total point count must equal (n + 1)**2")
 
     @property
     def n(self) -> int:
         return self.plan.n
 
     def count(self) -> int:
-        return sum(len(g.rings) * g.rings[0].grid.count for g in self.groups)
+        return self.plan.point_count()
 
-    def points(self) -> list[tuple[float, float]]:
-        """Flattened (theta, phi) pairs: groups, then rings, then azimuths."""
-        return [pt for group in self.groups for ring in group.rings for pt in ring.points()]
+    def points(self) -> np.ndarray:
+        """(theta, phi) rows: groups, then rings, then azimuths."""
+        return np.concatenate(
+            [
+                np.column_stack([np.repeat(self.theta[ring], 2 * s), azimuth_grid(s, self.alpha[ring]).ravel()])
+                for ring, s in zip(self.plan.ring_slices(), self.plan.azimuth_half_counts())
+            ]
+        )
 
     def to_json_dict(self) -> dict:
+        plan = self.plan
         return {
-            "n": self.plan.n,
-            "lambdas": list(self.plan.lambdas),
+            "n": plan.n,
+            "lambdas": list(plan.lambdas),
             "groups": [
                 {
-                    "k": g.index,
-                    "s": g.s,
+                    "k": k,
+                    "s": s,
                     "latitudes": [
-                        {"theta": ring.theta, "alpha": ring.alpha, "index": i + 1}
-                        for i, ring in enumerate(g.rings)
+                        {"theta": th, "alpha": a, "index": i}
+                        for i, (th, a) in enumerate(zip(self.theta[ring].tolist(), self.alpha[ring].tolist()), start=1)
                     ],
                 }
-                for g in self.groups
+                for k, (ring, s) in enumerate(zip(plan.ring_slices(), plan.azimuth_half_counts()), start=1)
             ],
-            "points": [[th, ph] for th, ph in self.points()],
+            "points": self.points().tolist(),
         }
 
     @staticmethod
     def from_json_dict(data: dict) -> "NodeSet":
+        """Read ``n``, ``lambdas``, ``groups[].s`` and every latitude's ``theta`` and ``alpha``.
+
+        The group tag ``k``, the latitude ``index`` and the ``points`` are
+        derived; a file that disagrees with them is rejected, and
+        ``points`` may be left out.
+        """
         try:
-            plan = PartitionPlan(n=int(data["n"]), lambdas=tuple(data["lambdas"]))
-            groups = []
-            for g in data["groups"]:
-                s = int(g["s"])
-                rings = tuple(
-                    LatitudeRing(
-                        theta=float(lat["theta"]),
-                        alpha=float(lat["alpha"]),
-                        grid=azimuth_grid(s, float(lat["alpha"])),
-                    )
-                    for lat in g["latitudes"]
-                )
-                groups.append(NodeGroup(index=int(g["k"]), s=s, rings=rings))
+            lambdas = tuple(read_count(lam, "a plan part") for lam in data["lambdas"])
+            plan = PartitionPlan(n=read_count(data["n"], "n"), lambdas=lambdas)
+            if len(data["groups"]) != plan.sigma:
+                raise InputError(f"group count must match the plan's {plan.sigma}")
+            rings = []
+            for k, (g, s, lam) in enumerate(zip(data["groups"], plan.azimuth_half_counts(), lambdas), start=1):
+                if read_count(g["k"], "k") != k or read_count(g["s"], "s") != s:
+                    raise InputError(f"group {k} must have k = {k} and s = {s}, got {g['k']} and {g['s']}")
+                if len(g["latitudes"]) != 2 * lam:
+                    raise InputError(f"group {k} must have {2 * lam} latitudes")
+                for i, lat in enumerate(g["latitudes"], start=1):
+                    if read_count(lat["index"], "index") != i:
+                        raise InputError(f"latitude {i} of group {k} has index {lat['index']}")
+                    rings.append((float(lat["theta"]), float(lat["alpha"])))
         except InputError:
             raise
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"malformed node set: {type(exc).__name__}: {exc}") from None
-        return NodeSet(plan=plan, groups=tuple(groups))
+        nodes = NodeSet(plan, *zip(*rings))
+        if "points" in data and data["points"] != nodes.points().tolist():
+            raise InputError("points differ from the ones the latitudes define")
+        return nodes
 
 
-def build_nodeset(
-    plan: PartitionPlan, latitudes: Sequence[Sequence[float]]
-) -> NodeSet:
+def build_nodeset(plan: PartitionPlan, latitudes: Sequence[Sequence[float]]) -> NodeSet:
     """Assemble the full grid from the supplied northern latitudes.
 
     ``latitudes[k]`` holds the lambda_k angles of group k + 1, all strictly
     inside (0, pi / 2). Mirrors pi - theta are appended automatically in
-    reversed order, the northern rings get the unrotated grid (alpha = 0)
-    and the mirrored rings the rotated grid (alpha = 1). The equator is
-    rejected because it would mirror onto itself.
+    reversed order, and the rings get their tags from ``mirror_alphas``.
+    The equator is rejected because it would mirror onto itself.
     """
     try:
         latitudes = [[float(th) for th in group_lats] for group_lats in latitudes]
@@ -308,11 +298,9 @@ def build_nodeset(
                     f"latitude {th!r} must lie strictly inside (0, pi/2); "
                     "the equator mirrors onto itself"
                 )
-    groups = tuple(
-        NodeGroup(index=k + 1, s=s, rings=mirrored_grid(mirror(group_lats), s))
-        for k, (group_lats, s) in enumerate(zip(latitudes, plan.azimuth_half_counts()))
-    )
-    return NodeSet(plan=plan, groups=groups)
+    theta = [th for group_lats in latitudes for th in mirror(group_lats)]
+    alpha = np.concatenate([mirror_alphas(2 * lam) for lam in plan.lambdas])
+    return NodeSet(plan=plan, theta=theta, alpha=alpha)
 
 
 def _cosine_latitudes(plan: PartitionPlan, jitter: Sequence[float]) -> list[list[float]]:

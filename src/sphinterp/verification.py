@@ -50,7 +50,7 @@ from .nodes import (
     equispaced_latitudes,
     legendre_latitudes,
     mirror,
-    mirrored_grid,
+    mirror_alphas,
     seeded_latitudes,
 )
 from .polynomials import integrate_unit_interval
@@ -150,10 +150,7 @@ def poisedness_suite(n: int, seed: int = 0, trials: int = 3) -> list[dict]:
             rows.append(_row("poisedness", case, "max_rhs_residual", max_res, TOL_RESIDUAL, max_res <= TOL_RESIDUAL))
 
             planted = random_spherical(n, rng)
-            pts = nodes.points()
-            th = np.array([p[0] for p in pts])
-            ph = np.array([p[1] for p in pts])
-            data = planted.eval(th, ph)
+            data = planted.eval(*nodes.points().T)
             try:
                 report = solve(InterpolationProblem(nodes=nodes, data=tuple(data)))
             except PoisednessError as exc:
@@ -277,7 +274,7 @@ def factorization_suite(mmax: int = 5, seeds: int = 20, seed: int = 0) -> list[d
                 # full-degree step: the grid is square, so kernel triviality
                 # is the smallest scaled singular value of its collocation
                 thetas = _symmetric_thetas(lam, rng)
-                grid = [pt for ring in mirrored_grid(thetas, m) for pt in ring.points()]
+                grid = np.column_stack([np.repeat(thetas, 2 * m), azimuth_grid(m, mirror_alphas(2 * lam)).ravel()])
                 mat = assemble_at_points(s_deg, grid)
                 sv = np.linalg.svd(mat, compute_uv=False)
                 ratio = float(sv[-1] / sv[0])
@@ -345,11 +342,11 @@ def lemmas_suite(mmax: int = 6, fold_trials: int = 50, seed: int = 0) -> list[di
                 T = random_spherical(n, rng)
                 folded = fold_azimuth_modes(T, alpha, m)
                 theta = float(rng.uniform(0.1, _PI - 0.1))
-                phis = azimuth_grid(m, alpha).angles
-                direct = T.eval(theta, np.array(phis)).tolist()
+                phis = azimuth_grid(m, alpha)
+                direct = T.eval(theta, phis).tolist()
                 scale = max(1.0, max(abs(v) for v in direct))
                 diff = max(
-                    abs(folded.eval(theta, ph) - v) for ph, v in zip(phis, direct)
+                    abs(folded.eval(theta, ph) - v) for ph, v in zip(phis.tolist(), direct)
                 )
                 worst = max(worst, diff / scale)
             case = f"fold-m{m}-alpha{alpha}"
@@ -367,7 +364,7 @@ def lemmas_suite(mmax: int = 6, fold_trials: int = 50, seed: int = 0) -> list[di
         if trial % 2 == 0:
             T = _plant_vanishing(T, theta, alpha)
         scale = max(1.0, T.coeff_scale())
-        max_val = float(np.max(np.abs(T.eval(theta, np.array(azimuth_grid(m, alpha).angles)))))
+        max_val = float(np.max(np.abs(T.eval(theta, azimuth_grid(m, alpha)))))
         max_res = max(abs(v) for v in latitude_vanishing_residuals(T, theta, alpha))
         vals_small = max_val <= TOL_VANISH_EQUIV * scale
         res_small = max_res <= TOL_VANISH_EQUIV * scale
@@ -439,7 +436,7 @@ def cubature_suite(mmax: int = 6, trig_trials: int = 50, seed: int = 0) -> list[
         north = list(rule.latitudes[:m])
         nodes = build_nodeset(plan, [north])
         f = lambda th, ph: math.exp(math.cos(th))
-        data = [f(th, ph) for th, ph in nodes.points()]
+        data = [f(th, ph) for th, ph in nodes.points().tolist()]
         try:
             report = solve(InterpolationProblem(nodes=nodes, data=tuple(data)))
         except PoisednessError as exc:

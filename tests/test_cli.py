@@ -214,6 +214,31 @@ def test_interpolate_malformed_nodeset_is_bad_input(tmp_path: Path, edit):
 
 
 @pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda data: data.update(n=3.9), "n must be an integer"),
+        (lambda data: data["groups"][0].update(s=True), "s must be an integer"),
+        (lambda data: data["groups"][0]["latitudes"][2].update(index=1), "has index 1"),
+        (lambda data: data.update(points=[[0, 0]]), "points differ"),
+    ],
+    ids=["fractional-n", "boolean-s", "wrong-index", "edited-points"],
+)
+def test_interpolate_rejects_a_nodeset_whose_fields_disagree(tmp_path: Path, edit, message):
+    nodes_path = tmp_path / "nodes.json"
+    run_cli("gen-nodes", "--n", "3", "--plan", "2", "--out", str(nodes_path))
+    data = json.loads(nodes_path.read_text())
+    edit(data)
+    nodes_path.write_text(json.dumps(data))
+    outs = [tmp_path / "c.json", tmp_path / "r.json"]
+    res = run_cli(
+        "interpolate", "--nodes", str(nodes_path), "--function", "one", "--out-coeffs", str(outs[0]), "--out-report", str(outs[1])
+    )
+    assert res.returncode == 2
+    assert message in res.stderr and "Traceback" not in res.stderr
+    assert not any(out.exists() for out in outs)
+
+
+@pytest.mark.parametrize(
     "command, lats",
     [
         (["gen-nodes", "--n", "3", "--plan", "2"], [[0.5, "north"]]),

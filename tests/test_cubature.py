@@ -2,7 +2,6 @@
 
 import json
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +10,6 @@ from sphinterp import (
     CubatureRule,
     InputError,
     InterpolationProblem,
-    LatitudeRing,
     PartitionPlan,
     WeightSumError,
     apply_rule,
@@ -233,11 +231,9 @@ def test_certificate_reads_the_rules_own_azimuths(monkeypatch):
     # nudge one azimuth of one ring: the certificate must see the broken
     # rule, as the dense oracle does, rather than assume exact trig sums
     rule = legendre_rule(3)
-    rings = list(rule.rings())
-    grid = rings[1].grid
-    angles = (grid.angles[0] + 1e-3,) + grid.angles[1:]
-    rings[1] = LatitudeRing(rings[1].theta, rings[1].alpha, replace(grid, angles=angles))
-    monkeypatch.setattr(CubatureRule, "rings", lambda self: tuple(rings))
+    azimuths = rule.azimuths()
+    azimuths[1, 0] += 1e-3
+    monkeypatch.setattr(CubatureRule, "azimuths", lambda self: azimuths)
     errors = np.array(exactness_certificate(rule).errors)
     assert np.max(np.abs(errors)) > 1e-5
     assert np.max(np.abs(errors - dense_exactness_errors(rule))) <= 1e-13
@@ -321,3 +317,22 @@ def test_integrating_interpolant_matches_rule():
     via_interp = 2.0 * PI * integrate_unit_interval(report.solution.coef[:, 0, 0])
     via_rule = apply_rule(rule, f)
     assert via_interp == pytest.approx(via_rule, abs=1e-8)
+
+
+@pytest.mark.parametrize("m", [2.6, 2.0, True, "2"])
+def test_rule_from_json_dict_rejects_a_count_that_is_not_an_integer(m):
+    data = legendre_rule(2 if m is not True else 1).to_json_dict()
+    data["m"] = m
+    with pytest.raises(InputError, match="must be an integer"):
+        CubatureRule.from_json_dict(data)
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_rule_files_round_trip_byte_for_byte(tmp_path, m):
+    from sphinterp import cli
+
+    rule, cert = tmp_path / "rule.json", tmp_path / "cert.json"
+    assert cli.main(["cubature", "--m", str(m), "--out-rule", str(rule), "--out-cert", str(cert)]) == 0
+    text = rule.read_text()
+    back = CubatureRule.from_json_dict(json.loads(text)).to_json_dict()
+    assert json.dumps(back, indent=2, sort_keys=True) + "\n" == text

@@ -19,6 +19,7 @@ from sphinterp import (
     chebyshev_collocation_det,
     collocation_matrix,
     default_latitudes,
+    enumerate_partitions,
     factor_chain,
     factor_step,
     latitude_vanishing_residuals,
@@ -28,6 +29,7 @@ from sphinterp import (
     random_spherical,
     reduction_coefficients,
     reduction_system_det,
+    seeded_latitudes,
     zero_spherical,
 )
 
@@ -417,3 +419,25 @@ def test_chain_certificate_reports_cross_group_separation():
     cert = chain_kernel_certificate(nodes)
     assert 0.0 < cert.cross_group_separation < 2.0
     assert len(cert.steps) == 2
+
+
+def _separation_by_loops(nodes) -> float:
+    """Smallest |cos theta_i - cos theta_j| over rings of different groups, pair by pair."""
+    groups = [[math.cos(th) for th in nodes.theta[rings].tolist()] for rings in nodes.plan.ring_slices()]
+    separation = math.inf
+    for g1 in range(len(groups)):
+        for g2 in range(g1 + 1, len(groups)):
+            for c1 in groups[g1]:
+                for c2 in groups[g2]:
+                    separation = min(separation, abs(c1 - c2))
+    return separation
+
+
+@pytest.mark.parametrize("n", [1, 3, 5, 7, 9])
+def test_chain_certificate_separation_matches_the_pairwise_loops(n):
+    for plan in enumerate_partitions(n):
+        for lats in (default_latitudes(plan), seeded_latitudes(plan, n)):
+            nodes = build_nodeset(plan, lats)
+            got = chain_kernel_certificate(nodes).cross_group_separation
+            assert got == _separation_by_loops(nodes)
+            assert type(got) is float

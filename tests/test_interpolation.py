@@ -22,7 +22,7 @@ from sphinterp import (
     solve,
     spherical_from_vector,
 )
-from sphinterp.nodes import LatitudeRing, NodeGroup, NodeSet, azimuth_grid
+from sphinterp.nodes import NodeSet, mirror
 from sphinterp.verification import TOL_PLANT_COEFF
 
 from helpers import dense_solve, extended_solve
@@ -188,19 +188,8 @@ def test_plant_and_recover_twenty_targets_per_plan(n):
 def _bypassed_nodes():
     # rotation removed: both hemispheres on the unrotated grid
     plan = PartitionPlan(n=3, lambdas=(1, 1))
-    half = plan.azimuth_half_counts()
-    lats = default_latitudes(plan)
-    groups = []
-    for k, group_lats in enumerate(lats):
-        s = half[k]
-        rings = [
-            LatitudeRing(theta=t, alpha=0.0, grid=azimuth_grid(s, 0.0)) for t in group_lats
-        ] + [
-            LatitudeRing(theta=PI - t, alpha=0.0, grid=azimuth_grid(s, 0.0))
-            for t in reversed(group_lats)
-        ]
-        groups.append(NodeGroup(index=k + 1, s=s, rings=tuple(rings)))
-    return NodeSet(plan=plan, groups=tuple(groups))
+    theta = [th for group_lats in default_latitudes(plan) for th in mirror(group_lats)]
+    return NodeSet(plan=plan, theta=theta, alpha=np.zeros(len(theta)))
 
 
 def test_alpha_bypass_outcome_recorded_not_asserted():

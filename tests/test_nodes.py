@@ -18,30 +18,29 @@ from sphinterp import (
     enumerate_partitions,
     factor_step,
     legendre_latitudes,
+    mirror,
+    mirror_alphas,
     seeded_latitudes,
     zero_spherical,
 )
-from sphinterp.nodes import LatitudeRing, NodeGroup
 
 PI = math.pi
 
 
 def test_azimuth_grid_s2_alpha0():
-    grid = azimuth_grid(2, 0.0)
-    assert grid.angles == pytest.approx([0.0, PI / 2, PI, 3 * PI / 2])
+    assert azimuth_grid(2, 0.0).tolist() == pytest.approx([0.0, PI / 2, PI, 3 * PI / 2])
 
 
 def test_azimuth_grid_s2_alpha1():
-    grid = azimuth_grid(2, 1.0)
-    assert grid.angles == pytest.approx([PI / 4, 3 * PI / 4, 5 * PI / 4, 7 * PI / 4])
+    assert azimuth_grid(2, 1.0).tolist() == pytest.approx([PI / 4, 3 * PI / 4, 5 * PI / 4, 7 * PI / 4])
 
 
 def test_azimuth_grid_uniform_gaps():
     grid = azimuth_grid(3, 0.0)
-    assert len(grid.angles) == 6
-    gaps = np.diff(grid.angles)
+    assert len(grid) == 6
+    gaps = np.diff(grid)
     assert np.allclose(gaps, PI / 3)
-    assert all(0.0 <= a < 2 * PI for a in grid.angles)
+    assert all(0.0 <= a < 2 * PI for a in grid)
 
 
 def test_azimuth_grid_validation():
@@ -108,16 +107,17 @@ def test_build_nodeset_single_group():
     plan = PartitionPlan(n=3, lambdas=(2,))
     nodes = build_nodeset(plan, [[PI / 6, PI / 3]])
     assert nodes.count() == 16
-    assert len(nodes.groups) == 1
-    assert len(nodes.groups[0].rings) == 4
-    assert all(len(r.grid.angles) == 4 for r in nodes.groups[0].rings)
+    assert plan.ring_slices() == (slice(0, 4),)
+    assert len(nodes.theta) == 4
+    assert nodes.points()[:, 0].tolist() == np.repeat(nodes.theta, 4).tolist()
 
 
 def test_build_nodeset_two_groups():
     plan = PartitionPlan(n=3, lambdas=(1, 1))
     nodes = build_nodeset(plan, [[PI / 5], [2 * PI / 5]])
-    sizes = [(len(g.rings), g.rings[0].grid.count) for g in nodes.groups]
+    sizes = [(len(nodes.theta[rings]), 2 * s) for rings, s in zip(plan.ring_slices(), plan.azimuth_half_counts())]
     assert sizes == [(2, 6), (2, 2)]
+    assert nodes.points()[:, 0].tolist() == np.repeat(nodes.theta, [6, 6, 2, 2]).tolist()
     assert nodes.count() == 16
 
 
@@ -131,23 +131,20 @@ def test_every_plan_totals_square(n):
 def test_nodeset_mirror_symmetry_and_alpha_pattern():
     plan = PartitionPlan(n=5, lambdas=(2, 1))
     nodes = build_nodeset(plan, default_latitudes(plan))
-    for k, group in enumerate(nodes.groups):
-        lam = plan.lambdas[k]
+    for rings, lam in zip(plan.ring_slices(), plan.lambdas):
+        theta, alpha = nodes.theta[rings], nodes.alpha[rings]
         for i in range(lam):
-            north = group.rings[i]
-            south = group.rings[2 * lam - 1 - i]
-            assert south.theta == pytest.approx(PI - north.theta, abs=1e-14)
-            assert north.alpha == 0.0
-            assert south.alpha == 1.0
+            assert theta[2 * lam - 1 - i] == pytest.approx(PI - theta[i], abs=1e-14)
+            assert alpha[i] == 0.0
+            assert alpha[2 * lam - 1 - i] == 1.0
 
 
 def test_mirrored_grids_differ_by_half_step_rotation():
     plan = PartitionPlan(n=3, lambdas=(2,))
     nodes = build_nodeset(plan, [[PI / 6, PI / 3]])
-    group = nodes.groups[0]
-    s = group.s
-    north = np.array(group.rings[0].grid.angles)
-    south = np.array(group.rings[3].grid.angles)
+    s = plan.azimuth_half_counts()[0]
+    phi = nodes.points()[:, 1].reshape(4, 2 * s)
+    north, south = phi[0], phi[3]
     assert np.allclose(south - north, PI / (2 * s))
 
 
@@ -245,10 +242,8 @@ def test_nodeset_json_roundtrip():
     text = json.dumps(data)
     back = NodeSet.from_json_dict(json.loads(text))
     assert back.plan == nodes.plan
-    assert back.points() == nodes.points()
-    assert [r.alpha for g in back.groups for r in g.rings] == [
-        r.alpha for g in nodes.groups for r in g.rings
-    ]
+    assert np.array_equal(back.points(), nodes.points())
+    assert back.alpha.tolist() == nodes.alpha.tolist()
 
 
 def test_nodeset_json_contains_contract_fields():
@@ -263,22 +258,11 @@ def test_nodeset_json_contains_contract_fields():
     assert [lat["index"] for lat in group["latitudes"]] == [1, 2, 3, 4]
 
 
-def test_nodeset_rejects_ring_alpha_that_differs_from_its_grid():
-    plan = PartitionPlan(n=3, lambdas=(2,))
-    group = build_nodeset(plan, [[PI / 6, PI / 3]]).groups[0]
-    south = group.rings[3]
-    # tagged unrotated but carrying the rotated grid: to_json_dict would
-    # record alpha 0, and reading that back would move the points
-    relabeled = LatitudeRing(theta=south.theta, alpha=0.0, grid=south.grid)
-    rings = group.rings[:3] + (relabeled,)
-    with pytest.raises(InputError, match="alpha"):
-        NodeSet(plan=plan, groups=(NodeGroup(index=1, s=group.s, rings=rings),))
-
-
 def _nodeset_with_mirror_error(error):
     plan = PartitionPlan(n=3, lambdas=(2,))
     data = build_nodeset(plan, [[PI / 6, PI / 3]]).to_json_dict()
     data["groups"][0]["latitudes"][3]["theta"] += error
+    del data["points"]  # the edit moves that ring's points
     NodeSet.from_json_dict(data)
 
 
@@ -300,3 +284,135 @@ def test_mirror_tolerance_is_shared(check, error, accepted):
     else:
         with pytest.raises(InputError, match="mirror"):
             check(error)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1.0, 0.37])
+def test_azimuth_grid_is_the_scalar_formula_bit_for_bit(alpha):
+    for s in range(1, 41):
+        expected = [(2 * j + alpha) * PI / (2 * s) for j in range(2 * s)]
+        assert azimuth_grid(s, alpha).tolist() == expected
+        assert azimuth_grid(s, [alpha, alpha]).tolist() == [expected, expected]
+
+
+def test_mirror_alphas_rotate_the_southern_half():
+    assert mirror_alphas(6).tolist() == [0.0, 0.0, 0.0, 1.0, 1.0, 1.0]
+    plan = PartitionPlan(n=5, lambdas=(1, 2))
+    nodes = build_nodeset(plan, default_latitudes(plan))
+    assert nodes.alpha.tolist() == mirror_alphas(2).tolist() + mirror_alphas(4).tolist()
+
+
+def test_nodeset_copies_its_arrays_and_freezes_them():
+    plan = PartitionPlan(n=3, lambdas=(2,))
+    theta = np.array(mirror([PI / 6, PI / 3]))
+    alpha = mirror_alphas(4)
+    nodes = NodeSet(plan=plan, theta=theta, alpha=alpha)
+    theta[0] = alpha[0] = 0.5
+    assert nodes.theta[0] == PI / 6 and nodes.alpha[0] == 0.0
+    for values in (nodes.theta, nodes.alpha):
+        with pytest.raises(ValueError, match="read-only"):
+            values[0] = 0.25
+
+
+@pytest.mark.parametrize(
+    "theta, alpha, match",
+    [
+        (mirror([PI / 6]), [0.0, 1.0], "shape"),
+        (mirror([PI / 6, PI / 3]), [[0.0, 0.0], [1.0, 1.0]], "shape"),
+        (mirror([PI / 6, math.nan]), [0.0, 0.0, 1.0, 1.0], "inside"),
+        (mirror([PI / 6, PI / 3]), [0.0, 0.0, 1.0, math.nan], r"\[0, 2\)"),
+        (mirror([PI / 6, PI / 3]), [0.0, 0.0, 1.0, 2.0], r"\[0, 2\)"),
+        (mirror([PI / 6, PI / 3]), [0.0, 0.0, 1.0, -0.5], r"\[0, 2\)"),
+    ],
+)
+def test_nodeset_rejects_bad_arrays(theta, alpha, match):
+    with pytest.raises(InputError, match=match):
+        NodeSet(plan=PartitionPlan(n=3, lambdas=(2,)), theta=theta, alpha=alpha)
+
+
+def test_nodeset_rings_must_mirror_within_their_group():
+    # four mirror-paired rings, but dealt 1 + 1 across the groups of plan (1, 1)
+    with pytest.raises(InputError, match="mirror"):
+        NodeSet(plan=PartitionPlan(n=3, lambdas=(1, 1)), theta=mirror([PI / 6, PI / 3]), alpha=mirror_alphas(4))
+
+
+def _nodeset_json(n=3, plan="1,1"):
+    parts = tuple(int(p) for p in plan.split(","))
+    plan = PartitionPlan(n=n, lambdas=parts)
+    return build_nodeset(plan, default_latitudes(plan)).to_json_dict()
+
+
+@pytest.mark.parametrize(
+    "edit, match",
+    [
+        (lambda d: d.update(n=3.9), "n must be an integer"),
+        (lambda d: d.update(n=True), "n must be an integer"),
+        (lambda d: d.update(lambdas=[1.0, 1]), "plan part must be an integer"),
+        (lambda d: d["groups"][0].update(s=3.5), "s must be an integer"),
+        (lambda d: d["groups"][0].update(k=True), "k must be an integer"),
+        (lambda d: d["groups"][0]["latitudes"][1].update(index=2.0), "index must be an integer"),
+        (lambda d: [g.update(k=7) for g in d["groups"]], "group 1 must have k = 1"),
+        (lambda d: d["groups"][1].update(k=1), "group 2 must have k = 2"),
+        (lambda d: d["groups"][0].update(s=2), "group 1 must have k = 1 and s = 3"),
+        (lambda d: d["groups"][0]["latitudes"][0].update(index=2), "latitude 1 of group 1 has index 2"),
+        (lambda d: d["groups"][1]["latitudes"].pop(), "group 2 must have 2 latitudes"),
+        (lambda d: d["groups"].pop(), "group count"),
+        (lambda d: d.update(points=[[0, 0]]), "points differ"),
+        (lambda d: d["points"][5].reverse(), "points differ"),
+        (lambda d: d["groups"][1]["latitudes"][1].update(alpha=0.0), "points differ"),
+    ],
+)
+def test_nodeset_json_rejects_counts_and_derived_fields_that_disagree(edit, match):
+    data = _nodeset_json()
+    edit(data)
+    with pytest.raises(InputError, match=match):
+        NodeSet.from_json_dict(data)
+
+
+def test_nodeset_json_without_points_loads_the_same_node_set():
+    data = _nodeset_json(n=5, plan="2,1")
+    points = data.pop("points")
+    assert NodeSet.from_json_dict(data).points().tolist() == points
+
+
+def _gen_nodes_text(tmp_path, *args):
+    from sphinterp import cli
+
+    out = tmp_path / "nodes.json"
+    assert cli.main(["gen-nodes", *args, "--out", str(out)]) == 0
+    return out.read_text()
+
+
+def _lat_file_args(tmp_path):
+    lat_file = tmp_path / "lats.json"
+    lat_file.write_text(json.dumps([[0.3, 1.2], [0.7]]))
+    return ["--n", "5", "--plan", "2,1", "--latitudes", "file", "--lat-file", str(lat_file)]
+
+
+@pytest.mark.parametrize(
+    "family",
+    [f"default-n{n}" for n in (1, 3, 5, 7, 9)] + [f"legendre-n{n}" for n in (1, 3, 5, 7, 9)] + ["lat-file"],
+)
+def test_gen_nodes_files_round_trip_byte_for_byte(tmp_path, family):
+    if family == "lat-file":
+        arg_sets = [_lat_file_args(tmp_path)]
+    else:
+        kind, n = family.split("-n")
+        plans = enumerate_partitions(int(n)) if kind == "default" else [PartitionPlan(int(n), ((int(n) + 1) // 2,))]
+        arg_sets = [
+            ["--n", n, "--plan", ",".join(map(str, plan.lambdas)), "--latitudes", kind] for plan in plans
+        ]
+    for args in arg_sets:
+        text = _gen_nodes_text(tmp_path, *args)
+        back = NodeSet.from_json_dict(json.loads(text)).to_json_dict()
+        assert json.dumps(back, indent=2, sort_keys=True) + "\n" == text
+
+
+@pytest.mark.parametrize("n", [1, 3, 5, 7])
+def test_points_match_the_ring_by_ring_loop(n):
+    for plan in enumerate_partitions(n):
+        nodes = build_nodeset(plan, seeded_latitudes(plan, n))
+        expected = []
+        for rings, s in zip(plan.ring_slices(), plan.azimuth_half_counts()):
+            for th, a in zip(nodes.theta[rings].tolist(), nodes.alpha[rings].tolist()):
+                expected += [[th, (2 * j + a) * PI / (2 * s)] for j in range(2 * s)]
+        assert nodes.points().tolist() == expected
