@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import InputError, WeightSumError
-from .nodes import azimuth_grid, check_mirrored, legendre_latitudes, mirror_alphas, read_count
+from .nodes import azimuth_grid, check_mirrored, legendre_latitudes, mirror_alphas, read_count, read_number
 from .spherical import band_mask
 
 _PI = math.pi
@@ -77,13 +77,18 @@ class CubatureRule:
 
     @staticmethod
     def from_json_dict(data: dict) -> "CubatureRule":
+        """Read ``m`` and the numbers ``latitudes`` and ``weights``; ``nodes``, if
+        present, must equal the nodes they define."""
         try:
             m = read_count(data["m"], "m")
-            latitudes = tuple(float(t) for t in data["latitudes"])
-            weights = tuple(float(w) for w in data["weights"])
+            latitudes = tuple(read_number(t, "a latitude") for t in data["latitudes"])
+            weights = tuple(read_number(w, "a weight") for w in data["weights"])
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"malformed cubature rule: {type(exc).__name__}: {exc}") from None
-        return CubatureRule(m=m, latitudes=latitudes, weights=weights)
+        rule = CubatureRule(m=m, latitudes=latitudes, weights=weights)
+        if "nodes" in data and data["nodes"] != rule.to_json_dict()["nodes"]:
+            raise InputError("nodes differ from the ones the latitudes and weights define")
+        return rule
 
 
 def build_rule(latitudes: Sequence[float]) -> CubatureRule:

@@ -42,7 +42,7 @@ import numpy as np
 from .errors import InputError, PoisednessError
 from .nodes import NodeSet
 from .polynomials import from_roots
-from .spherical import SphericalPoly
+from .spherical import SphericalPoly, band_mask
 
 RESIDUAL_TOL = 1e-8  # relative residual bound certified by solve/certificate
 
@@ -86,25 +86,17 @@ class CertificateReport:
 def assemble_at_points(n: int, points: Sequence[tuple[float, float]]) -> np.ndarray:
     """Collocation matrix of the degree-n basis at arbitrary (theta, phi) points.
 
-    Column order follows ``basis_index_order``; entry (i, j) is basis_j at
-    point i. Columns are built band by band from the structural form
-    t**j sin**k cos(k phi), which agrees with evaluating each basis element.
+    Column order is the canonical order of ``band_mask``; entry (i, c) is
+    basis element c at point i, built from the structural form
+    t**j sin**k (cos, sin)(k phi), which agrees with evaluating it.
     """
     th, ph = np.asarray(points, dtype=float).reshape(-1, 2).T
-    t = np.cos(th)
-    s = np.sin(th)
-    tp = np.vander(t, N=n + 1, increasing=True)
-    cols = []
-    for k in range(n + 1):
-        sk = s**k
-        ck = np.cos(k * ph) * sk
-        for j in range(n - k + 1):
-            cols.append(tp[:, j] * ck)
-        if k >= 1:
-            snk = np.sin(k * ph) * sk
-            for j in range(n - k + 1):
-                cols.append(tp[:, j] * snk)
-    return np.column_stack(cols)
+    kphi = np.outer(ph, np.arange(n + 1))
+    # one scalar exponent per k: numpy squares for k = 2, an array exponent calls pow
+    sin_pow = np.stack([np.sin(th) ** k for k in range(n + 1)], axis=1)[:, :, None]
+    trig = np.stack([np.cos(kphi), np.sin(kphi)], axis=2) * sin_pow  # [point, k, kind]
+    k, kind, j = np.nonzero(band_mask(n))
+    return np.vander(np.cos(th), N=n + 1, increasing=True)[:, j] * trig[:, k, kind]
 
 
 def assemble_matrix(nodes: NodeSet) -> np.ndarray:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, combinations
 from typing import Sequence
 
 import numpy as np
@@ -55,6 +55,13 @@ def read_count(value, name: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise InputError(f"{name} must be an integer, got {value!r}")
     return value
+
+
+def read_number(value, name: str) -> float:
+    """``value`` as a float if it is a JSON number (``true`` is not), else ``InputError``."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise InputError(f"{name} must be a number, got {value!r}")
+    return float(value)
 
 
 def mirror(north: Sequence[float]) -> list[float]:
@@ -157,23 +164,17 @@ def enumerate_partitions(n: int) -> list[PartitionPlan]:
     """All ordered compositions of (n + 1) / 2, shortest first, then lexicographic.
 
     There are 2 ** ((n - 1) / 2) of them; order matters, so (1, 2) and (2, 1)
-    are distinct plans.
+    are distinct plans. Each is read off its cut points in 1..(n - 1) / 2,
+    and ``combinations`` of a growing number of cuts yields that order.
     """
     if n < 1 or n % 2 == 0:
         raise InputError(f"n must be an odd positive integer, got {n}")
     total = (n + 1) // 2
-    comps: list[tuple[int, ...]] = []
-
-    def rec(remaining: int, prefix: tuple[int, ...]):
-        if remaining == 0:
-            comps.append(prefix)
-            return
-        for part in range(1, remaining + 1):
-            rec(remaining - part, prefix + (part,))
-
-    rec(total, ())
-    comps.sort(key=lambda c: (len(c), c))
-    return [PartitionPlan(n=n, lambdas=c) for c in comps]
+    return [
+        PartitionPlan(n=n, lambdas=tuple(b - a for a, b in zip((0, *cuts), (*cuts, total))))
+        for count in range(total)
+        for cuts in combinations(range(1, total), count)
+    ]
 
 
 @dataclass(frozen=True, eq=False)
@@ -262,7 +263,7 @@ class NodeSet:
                 for i, lat in enumerate(g["latitudes"], start=1):
                     if read_count(lat["index"], "index") != i:
                         raise InputError(f"latitude {i} of group {k} has index {lat['index']}")
-                    rings.append((float(lat["theta"]), float(lat["alpha"])))
+                    rings.append((read_number(lat["theta"], "theta"), read_number(lat["alpha"], "alpha")))
         except InputError:
             raise
         except (KeyError, TypeError, ValueError) as exc:
@@ -311,12 +312,8 @@ def _cosine_latitudes(plan: PartitionPlan, jitter: Sequence[float]) -> list[list
     """
     total = sum(plan.lambdas)
     cosines = [(total - q + jitter[q]) / (total + 1.0) for q in range(total)]
-    out = []
-    pos = 0
-    for lam in plan.lambdas:
-        out.append([math.acos(c) for c in cosines[pos : pos + lam]])
-        pos += lam
-    return out
+    ends = list(accumulate(plan.lambdas, initial=0))
+    return [[math.acos(c) for c in cosines[a:b]] for a, b in zip(ends, ends[1:])]
 
 
 def default_latitudes(plan: PartitionPlan) -> list[list[float]]:

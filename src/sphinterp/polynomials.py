@@ -34,33 +34,19 @@ def integrate_unit_interval(p) -> float:
 
 
 def divide_by_linear_factors(p, roots: Sequence[float], tol: float) -> np.ndarray:
-    """Divide p by the product of (t - r), root by root, checking remainders.
+    """Divide p by the product of (t - r), root by root, with ``polydiv``.
 
-    Each synthetic-division remainder must satisfy |rem| <= tol * scale(p)
-    where scale(p) is the max absolute coefficient of the original p;
-    otherwise a DivisibilityError carrying the offending root is raised.
+    Each remainder p(r) must satisfy |rem| <= tol * scale(p), with scale(p)
+    the max absolute coefficient of p, or a DivisibilityError carrying the
+    root is raised. Quotients keep the structural length len - 1 (at least 1).
     """
-    work = np.asarray(p, dtype=float).tolist()
-    bound = tol * max(abs(c) for c in work)
+    work = np.array(p, dtype=float)
+    bound = tol * float(np.max(np.abs(work)))
     for r in roots:
         r = float(r)
-        if len(work) == 1:
-            # constant dividend: quotient is the zero polynomial
-            rem, quot = work[0], [0.0]
-        else:
-            quot, rem = _synthetic_division(work, r)
-        if abs(rem) > bound:
-            raise DivisibilityError(root=r, residual=abs(rem), tol=bound)
-        work = quot
-    return np.array(work)
-
-
-def _synthetic_division(coeffs: Sequence[float], r: float) -> tuple[list[float], float]:
-    """Quotient and remainder of coeffs / (t - r); the remainder is p(r)."""
-    n = len(coeffs) - 1
-    quot = [0.0] * n
-    acc = coeffs[n]
-    for j in range(n - 1, -1, -1):
-        quot[j] = acc
-        acc = coeffs[j] + r * acc
-    return quot, acc
+        quot, rem = np.polynomial.polynomial.polydiv(work, (-r, 1.0))
+        if abs(rem[0]) > bound:
+            raise DivisibilityError(root=r, residual=float(abs(rem[0])), tol=bound)
+        work = np.zeros(max(len(work) - 1, 1))
+        work[: len(quot)] += quot  # += into +0.0: polydiv's zero quotient of a constant can be -0.0
+    return work

@@ -34,7 +34,7 @@ from .factorization import (
     reduction_system_det,
 )
 from .interpolation import (
-    RESIDUAL_TOL as TOL_RESIDUAL,
+    RESIDUAL_TOL,
     InterpolationProblem,
     assemble_at_points,
     poisedness_certificate,
@@ -147,7 +147,7 @@ def poisedness_suite(n: int, seed: int = 0, trials: int = 3) -> list[dict]:
             )
             rows.append(_row("poisedness", case, "condition_estimate", cert.condition_estimate, "", None))
             max_res = max(cert.residuals)
-            rows.append(_row("poisedness", case, "max_rhs_residual", max_res, TOL_RESIDUAL, max_res <= TOL_RESIDUAL))
+            rows.append(_row("poisedness", case, "max_rhs_residual", max_res, RESIDUAL_TOL, max_res <= RESIDUAL_TOL))
 
             planted = random_spherical(n, rng)
             data = planted.eval(*nodes.points().T)
@@ -161,7 +161,7 @@ def poisedness_suite(n: int, seed: int = 0, trials: int = 3) -> list[dict]:
                 coeff_err = float(np.max(np.abs(got - ref)) / max(1.0, np.max(np.abs(ref))))
                 res_rel = report.residual_inf / max(1.0, float(np.max(np.abs(data))))
                 rows.append(_row("poisedness", case, "plant_coeff_err", coeff_err, TOL_PLANT_COEFF, coeff_err <= TOL_PLANT_COEFF))
-                rows.append(_row("poisedness", case, "plant_residual", res_rel, TOL_RESIDUAL, res_rel <= TOL_RESIDUAL))
+                rows.append(_row("poisedness", case, "plant_residual", res_rel, RESIDUAL_TOL, res_rel <= RESIDUAL_TOL))
 
             chain = chain_kernel_certificate(nodes)
             rows.append(_row("poisedness", case, "chain_min_sigma", chain.min_scaled_sigma, SIGMA_TOL, None))

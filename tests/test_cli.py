@@ -220,8 +220,10 @@ def test_interpolate_malformed_nodeset_is_bad_input(tmp_path: Path, edit):
         (lambda data: data["groups"][0].update(s=True), "s must be an integer"),
         (lambda data: data["groups"][0]["latitudes"][2].update(index=1), "has index 1"),
         (lambda data: data.update(points=[[0, 0]]), "points differ"),
+        (lambda data: (lat := data["groups"][0]["latitudes"][0]).update(theta=str(lat["theta"])), "theta must be a number"),
+        (lambda data: data["groups"][0]["latitudes"][0].update(alpha=False), "alpha must be a number"),
     ],
-    ids=["fractional-n", "boolean-s", "wrong-index", "edited-points"],
+    ids=["fractional-n", "boolean-s", "wrong-index", "edited-points", "string-theta", "boolean-alpha"],
 )
 def test_interpolate_rejects_a_nodeset_whose_fields_disagree(tmp_path: Path, edit, message):
     nodes_path = tmp_path / "nodes.json"

@@ -336,3 +336,28 @@ def test_rule_files_round_trip_byte_for_byte(tmp_path, m):
     text = rule.read_text()
     back = CubatureRule.from_json_dict(json.loads(text)).to_json_dict()
     assert json.dumps(back, indent=2, sort_keys=True) + "\n" == text
+
+
+@pytest.mark.parametrize(
+    "edit, match",
+    [
+        (lambda d: d.update(nodes=[[0, 0, 0]]), "nodes differ"),
+        (lambda d: d["nodes"][3].reverse(), "nodes differ"),
+        (lambda d: d["nodes"].pop(), "nodes differ"),
+        (lambda d: d.update(weights=[str(w) for w in d["weights"]]), "a weight must be a number"),
+        (lambda d: d.update(latitudes=[str(t) for t in d["latitudes"]]), "a latitude must be a number"),
+        (lambda d: d["weights"].__setitem__(0, None), "a weight must be a number"),
+        (lambda d: d["latitudes"].__setitem__(0, True), "a latitude must be a number"),
+    ],
+)
+def test_rule_from_json_dict_rejects_non_numbers_and_nodes_that_disagree(edit, match):
+    data = json.loads(json.dumps(legendre_rule(2).to_json_dict()))
+    edit(data)
+    with pytest.raises(InputError, match=match):
+        CubatureRule.from_json_dict(data)
+
+
+def test_rule_json_without_nodes_loads_the_same_rule():
+    data = legendre_rule(3).to_json_dict()
+    nodes = data.pop("nodes")
+    assert CubatureRule.from_json_dict(data).to_json_dict()["nodes"] == nodes

@@ -22,7 +22,8 @@ from sphinterp import (
     solve,
     spherical_from_vector,
 )
-from sphinterp.nodes import NodeSet, mirror
+from sphinterp.interpolation import _class_blocks
+from sphinterp.nodes import NodeSet, azimuth_grid, mirror
 from sphinterp.verification import TOL_PLANT_COEFF
 
 from helpers import dense_solve, extended_solve
@@ -48,14 +49,42 @@ def test_constant_column_is_ones():
 
 
 def test_assembly_agrees_with_basis_evaluation():
-    # dual route: structural columns vs evaluating each basis element
-    nodes = example_nodes()
-    M = assemble_matrix(nodes)
-    pts = nodes.points()
-    for j, e_j in enumerate(np.eye(16)):
-        elem = spherical_from_vector(3, e_j)
-        direct = [elem.eval(th, ph) for th, ph in pts]
-        assert np.allclose(M[:, j], direct, atol=1e-14)
+    # dual route: structural columns vs evaluating each basis element, at the
+    # example nodes (n = 3) and at multi-group node sets of degree 1, 5 and 9
+    node_sets = [example_nodes()] + [
+        build_nodeset(plan, seeded_latitudes(plan, 1))
+        for plan in (PartitionPlan(1, (1,)), PartitionPlan(5, (1, 2)), PartitionPlan(9, (2, 1, 2)))
+    ]
+    for nodes in node_sets:
+        M = assemble_matrix(nodes)
+        th, ph = nodes.points().T
+        assert M.shape == (nodes.count(), nodes.count())
+        for j, e_j in enumerate(np.eye(nodes.count())):
+            direct = spherical_from_vector(nodes.n, e_j).eval(th, ph)
+            assert np.allclose(M[:, j], direct, atol=1e-14)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1.0, 0.37])
+@pytest.mark.parametrize("s", range(1, 8))
+def test_class_blocks_are_the_ring_spectra_of_the_coefficients(s, alpha):
+    # the solver's spelling of the alias identity k <-> 2s - k: on 2 lam = 2s
+    # rings a degree-(2s - 1) T is all of V_g, so the middle blocks map its
+    # gathered coefficients to sqrt(2) (Re, Im) of each ring's orthonormal
+    # rfft at the classes 0 < p < s, and the end blocks to Re at 0 and s
+    rng = np.random.default_rng(100 * s + int(100 * alpha))
+    T = random_spherical(2 * s - 1, rng)
+    theta = np.sort(rng.uniform(0.1, PI - 0.1, size=2 * s))
+    tags = np.full(2 * s, alpha)
+    mid, mid_index, end, end_index = _class_blocks(np.cos(theta), np.sin(theta), tags, s, s, 2 * s - 1)
+    spectra = np.fft.rfft(T.eval(theta[:, None], azimuth_grid(s, tags)), axis=1, norm="ortho")
+    middle = spectra[:, 1:s].T
+    pairs = [
+        (np.einsum("pab,pb->pa", mid, T.coef[mid_index]), math.sqrt(2.0) * np.hstack([middle.real, middle.imag])),
+        (np.einsum("cab,cb->ca", end, T.coef[end_index]), np.stack([spectra[:, 0].real, spectra[:, s].real])),
+    ]
+    for got, expected in pairs:  # the middle pair is empty at s = 1
+        assert got.shape == expected.shape
+        assert np.max(np.abs(got - expected), initial=0.0) <= 1e-13 * np.max(np.abs(expected), initial=0.0)
 
 
 def test_example_nodeset_is_full_rank():

@@ -23,6 +23,7 @@ from sphinterp import (
     seeded_latitudes,
     zero_spherical,
 )
+from sphinterp.nodes import read_number
 
 PI = math.pi
 
@@ -66,9 +67,12 @@ def test_partitions_n7_count():
     assert len(enumerate_partitions(7)) == 8
 
 
-@pytest.mark.parametrize("n", [1, 3, 5, 7, 9, 11])
+@pytest.mark.parametrize("n", [1, 3, 5, 7, 9, 11, 13, 15, 17, 19, 21])
 def test_partition_counts_are_powers_of_two(n):
-    assert len(enumerate_partitions(n)) == 2 ** ((n - 1) // 2)
+    # distinct plans, shortest first, then lexicographic
+    plans = [p.lambdas for p in enumerate_partitions(n)]
+    assert len(plans) == len(set(plans)) == 2 ** ((n - 1) // 2)
+    assert plans == sorted(plans, key=lambda lambdas: (len(lambdas), lambdas))
 
 
 def test_partitions_reject_even_degree():
@@ -359,6 +363,11 @@ def _nodeset_json(n=3, plan="1,1"):
         (lambda d: d.update(points=[[0, 0]]), "points differ"),
         (lambda d: d["points"][5].reverse(), "points differ"),
         (lambda d: d["groups"][1]["latitudes"][1].update(alpha=0.0), "points differ"),
+        (lambda d: (lat := d["groups"][0]["latitudes"][0]).update(theta=str(lat["theta"])), "theta must be a number"),
+        (lambda d: d["groups"][0]["latitudes"][0].update(theta=None), "theta must be a number"),
+        (lambda d: d["groups"][0]["latitudes"][0].update(alpha=False), "alpha must be a number"),
+        (lambda d: d["groups"][0]["latitudes"][1].update(alpha=True), "alpha must be a number"),
+        (lambda d: d["groups"][1]["latitudes"][0].update(alpha="0"), "alpha must be a number"),
     ],
 )
 def test_nodeset_json_rejects_counts_and_derived_fields_that_disagree(edit, match):
@@ -366,6 +375,12 @@ def test_nodeset_json_rejects_counts_and_derived_fields_that_disagree(edit, matc
     edit(data)
     with pytest.raises(InputError, match=match):
         NodeSet.from_json_dict(data)
+
+
+@pytest.mark.parametrize("value", [0, 3, 0.5, -1e300])
+def test_read_number_accepts_json_numbers_as_floats(value):
+    got = read_number(value, "x")
+    assert type(got) is float and got == value
 
 
 def test_nodeset_json_without_points_loads_the_same_node_set():

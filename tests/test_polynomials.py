@@ -62,6 +62,46 @@ def test_divide_constant_dividend_gives_zero_quotient():
     assert not np.any(q)
 
 
+def test_divide_keeps_the_structural_length_when_top_coefficients_are_zero():
+    assert divide_by_linear_factors([-0.5, 1.0, 0.0, 0.0], [0.5], 1e-12).tolist() == [1.0, 0.0, 0.0]
+    assert divide_by_linear_factors([-0.25, 0.0, 1.0, 0.0, 0.0], [0.5, -0.5], 1e-12).tolist() == [1.0, 0.0, 0.0]
+
+
+def _synthetic_division_reference(coeffs, roots, tol):
+    """Schoolbook synthetic division in Python floats, root by root; a
+    constant dividend has the zero quotient and is its own remainder."""
+    work = [float(c) for c in coeffs]
+    bound = tol * max(abs(c) for c in work)
+    for r in roots:
+        quot, acc = [0.0] * max(len(work) - 1, 1), work[-1]
+        for j in range(len(work) - 2, -1, -1):
+            quot[j] = acc
+            acc = work[j] + r * acc
+        if abs(acc) > bound:
+            return ("raised", r, abs(acc))
+        work = quot
+    return work
+
+
+def test_divide_matches_python_synthetic_division():
+    # quotients, remainders and raised roots all equal the schoolbook loop
+    rng = np.random.default_rng(11)
+    for trial in range(2000):
+        roots = rng.uniform(-1.0, 1.0, size=int(rng.integers(0, 5))).tolist()
+        p = rng.standard_normal(int(rng.integers(1, 10)))
+        if trial % 2:
+            p = np.convolve(p, from_roots(roots))
+        if trial % 3 == 0:
+            p[len(p) // 2 :] = 0.0
+        tol = float(rng.choice([1e-12, 1e-6, 10.0]))
+        expected = _synthetic_division_reference(p.tolist(), roots, tol)
+        try:
+            got = divide_by_linear_factors(p, roots, tol).tolist()
+        except DivisibilityError as exc:
+            got = ("raised", exc.root, exc.residual)
+        assert got == expected
+
+
 @pytest.mark.parametrize("npts", range(2, 13))
 def test_partition_of_unity_chebyshev_spread(npts):
     # Chebyshev spreads keep the cardinal coefficients small enough for a
