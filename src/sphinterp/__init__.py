@@ -17,7 +17,6 @@ from .cubature import (
     trig_quadrature_check,
 )
 from .errors import (
-    DivisibilityError,
     InputError,
     InternalInconsistencyError,
     PoisednessError,
@@ -61,11 +60,6 @@ from .nodes import (
     mirror,
     mirror_alphas,
     seeded_latitudes,
-)
-from .polynomials import (
-    divide_by_linear_factors,
-    from_roots,
-    integrate_unit_interval,
 )
 from .spherical import (
     FoldedForm,

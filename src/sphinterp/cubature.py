@@ -83,6 +83,8 @@ class CubatureRule:
             m = read_count(data["m"], "m")
             latitudes = tuple(read_number(t, "a latitude") for t in data["latitudes"])
             weights = tuple(read_number(w, "a weight") for w in data["weights"])
+        except InputError:
+            raise
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"malformed cubature rule: {type(exc).__name__}: {exc}") from None
         rule = CubatureRule(m=m, latitudes=latitudes, weights=weights)
@@ -94,12 +96,12 @@ class CubatureRule:
 def build_rule(latitudes: Sequence[float]) -> CubatureRule:
     """Interpolatory weights from the even Legendre moment system.
 
-    ``latitudes`` must be 2m distinct angles in (0, pi) with the mirror
-    symmetry theta_{2m+1-i} = pi - theta_i (see ``check_mirrored``). The
-    weights of mirrored latitudes are equal, so the odd moments vanish and
-    the m northern weights solve sum_i w_i P_2j(cos theta_i) = delta_j0 for
-    j = 0..m-1 (Golub & Welsch, Math. Comp. 1969); the southern weights are
-    their mirrored copy.
+    ``latitudes`` must be 2m angles in (0, pi) with pairwise distinct
+    cosines and the mirror symmetry theta_{2m+1-i} = pi - theta_i (see
+    ``check_mirrored``). The weights of mirrored latitudes are equal, so
+    the odd moments vanish and the m northern weights solve
+    sum_i w_i P_2j(cos theta_i) = delta_j0 for j = 0..m-1 (Golub & Welsch,
+    Math. Comp. 1969); the southern weights are their mirrored copy.
 
     Raises ``WeightSumError`` when the computed weights miss the sum 2 by
     more than ``TOL_WEIGHT_SUM``: the solve lost precision on valid input.

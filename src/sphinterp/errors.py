@@ -5,22 +5,6 @@ class InputError(ValueError):
     """Raised when an operation rejects its input (bad domain, bad shape)."""
 
 
-class DivisibilityError(ArithmeticError):
-    """Raised when a polynomial division leaves a remainder above tolerance.
-
-    Carries the offending root and the remainder magnitude.
-    """
-
-    def __init__(self, root: float, residual: float, tol: float):
-        self.root = root
-        self.residual = residual
-        self.tol = tol
-        super().__init__(
-            f"division by (t - {root!r}) leaves remainder {residual:.3e} "
-            f"above tolerance {tol:.3e}"
-        )
-
-
 class PoisednessError(RuntimeError):
     """Raised when a collocation matrix is singular to working precision.
 

@@ -31,9 +31,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DivisibilityError, InputError, InternalInconsistencyError
+from .errors import InputError, InternalInconsistencyError
 from .nodes import NodeSet, azimuth_grid, check_mirrored, mirror_alphas
-from .polynomials import divide_by_linear_factors
 from .spherical import SphericalPoly, fold_azimuth_modes, zero_spherical
 
 _PI = math.pi
@@ -144,10 +143,9 @@ def reduction_coefficients(r: int, s: int) -> ReductionFamily:
     return ReductionFamily(r=r, s=s, table=tuple(table))
 
 
-def reduction_system_det(r: int, s: int, points: Sequence[float]) -> float:
-    """Determinant of (h_j(points[k]))_{j,k}; positive for sorted points."""
-    if len(points) != s:
-        raise InputError(f"need exactly {s} points, got {len(points)}")
+def reduction_system_det(r: int, points: Sequence[float]) -> float:
+    """Determinant of (h_j(points[k]))_{j,k}, s = len(points); positive for sorted points."""
+    s = len(points)
     if any(not 0.0 < t < 1.0 for t in points):
         raise InputError("points must lie in the open interval (0, 1)")
     family = reduction_coefficients(r, s)
@@ -175,15 +173,13 @@ def latitude_vanishing_residuals(
 
     and finally a_m(c) cos(a pi / 2) + b_m(c) sin(a pi / 2), with
     c = cos(theta), s = sin(theta). These are the bands of
-    ``fold_azimuth_modes(T, alpha, m)`` with their sin(theta) weights.
+    ``fold_azimuth_modes(T, alpha)`` with their sin(theta) weights.
     """
-    n = T.degree
-    if n % 2 == 0:
-        raise InputError(f"degree must be odd, got {n}")
     if not 0.0 < theta < _PI:
         raise InputError(f"theta must lie strictly inside (0, pi), got {theta!r}")
-    m = (n + 1) // 2
-    low, high = fold_azimuth_modes(T, alpha, m).band_values(math.cos(theta))
+    folded = fold_azimuth_modes(T, alpha)
+    m = folded.m
+    low, high = folded.band_values(math.cos(theta))
     s = math.sin(theta)
     out = [float(low[0, 0])]
     for k in range(1, m):
@@ -198,8 +194,8 @@ def latitude_vanishing_residuals(
 # ---------------------------------------------------------------------------
 
 
-def mixed_parity_matrix(k: int, m: int, points: Sequence[float]) -> np.ndarray:
-    """Square collocation matrix of the paired even/odd system.
+def mixed_parity_matrix(k: int, points: Sequence[float]) -> np.ndarray:
+    """Square collocation matrix of the paired even/odd system at m = len(points).
 
     Unknowns are the 2m - k coefficients of p (degree 2m - k - 1) followed
     by the k coefficients of q (degree k - 1); rows are, for each point t,
@@ -210,11 +206,10 @@ def mixed_parity_matrix(k: int, m: int, points: Sequence[float]) -> np.ndarray:
     The matrix is 2m square; a nonzero smallest singular value certifies
     that only p = q = 0 satisfies both rows at all m points.
     """
+    pts = [float(t) for t in points]
+    m = len(pts)
     if not 1 <= k <= m:
         raise InputError(f"need 1 <= k <= m, got k={k}, m={m}")
-    if len(points) != m:
-        raise InputError(f"need exactly {m} points, got {len(points)}")
-    pts = [float(t) for t in points]
     if any(not 0.0 < t < 1.0 for t in pts):
         raise InputError("points must lie in the open interval (0, 1)")
     if len(set(pts)) != len(pts):
@@ -247,41 +242,46 @@ def _reference_sup(T: SphericalPoly) -> float:
 
 
 def _divide_band(band: np.ndarray, roots: Sequence[float], scale: float) -> np.ndarray:
-    """Divide one band by the root product, tolerating already-tiny bands."""
-    band_scale = float(np.max(np.abs(band)))
-    if band_scale <= DIVISION_TOL * scale:
-        return np.zeros(max(len(band) - len(roots), 1))
-    # divide_by_linear_factors checks remainders against the band's own
-    # coefficient scale; rescale so the bound is DIVISION_TOL * scale of T
-    try:
-        return divide_by_linear_factors(band, roots, DIVISION_TOL * scale / band_scale)
-    except DivisibilityError as exc:
-        raise InternalInconsistencyError(
-            f"guaranteed band division failed: {exc}"
-        ) from exc
+    """Divide one band by prod (t - r), root by root, with ``polydiv``.
+
+    A band already within DIVISION_TOL * scale is the zero quotient. Every
+    remainder must stay within that bound (NaN fails); quotients keep the
+    structural length len(band) - len(roots), at least 1.
+    """
+    bound = DIVISION_TOL * scale
+    work = np.array(band, dtype=float)
+    if np.max(np.abs(work)) <= bound:
+        return np.zeros(max(len(work) - len(roots), 1))
+    for r in roots:
+        quot, rem = np.polynomial.polynomial.polydiv(work, (-r, 1.0))
+        if not abs(rem[0]) <= bound:
+            raise InternalInconsistencyError(
+                f"guaranteed band division failed: division by (t - {r!r}) leaves "
+                f"remainder {abs(rem[0]):.3e} above tolerance {bound:.3e}"
+            )
+        work = np.zeros(max(len(work) - 1, 1))
+        work[: len(quot)] += quot  # += into +0.0: polydiv's zero quotient of a constant can be -0.0
+    return work
 
 
-def factor_step(T: SphericalPoly, m: int, lam: int, thetas: Sequence[float]) -> SphericalPoly:
+def factor_step(T: SphericalPoly, thetas: Sequence[float]) -> SphericalPoly:
     """Split off prod_i (z - cos theta_i) from a polynomial vanishing on the grid.
 
-    Requires m <= deg T <= 2m - 1 and lam = deg T - m + 1, with 2 lam
-    distinct mirror-paired latitudes. The input must vanish (within
-    VANISH_TOL relative to its reference sup) at all 2 lam x 2m grid
-    points. Bands above the quotient degree must annihilate and the
-    remaining bands must divide cleanly; failures of those guaranteed
-    facts raise InternalInconsistencyError. For deg T = 2m - 1 the
-    quotient space is empty and the zero polynomial (degree 0) is returned.
+    The 2 lam mirror-paired latitudes carry 2m azimuths each, with
+    m = deg T - lam + 1, so deg T >= 2 lam - 1 is required. The input
+    must vanish (within VANISH_TOL relative to its reference sup) at all
+    2 lam x 2m grid points. Bands above the quotient degree must
+    annihilate and the remaining bands must divide cleanly; failures of
+    those guaranteed facts raise InternalInconsistencyError. For
+    deg T = 2m - 1 the quotient space is empty and the zero polynomial
+    (degree 0) is returned.
     """
     s_deg = T.degree
-    if m < 1:
-        raise InputError("m must be a positive integer")
-    if not m <= s_deg <= 2 * m - 1:
-        raise InputError(f"need m <= deg T <= 2m - 1, got deg T = {s_deg}, m = {m}")
-    if lam != s_deg - m + 1:
-        raise InputError(f"lam must equal deg T - m + 1 = {s_deg - m + 1}, got {lam}")
     ths = check_mirrored(thetas)
-    if len(ths) != 2 * lam:
-        raise InputError(f"need {2 * lam} latitudes, got {len(ths)}")
+    lam = len(ths) // 2
+    if s_deg < 2 * lam - 1:
+        raise InputError(f"need deg T >= 2 lam - 1 = {2 * lam - 1} for {2 * lam} latitudes, got {s_deg}")
+    m = s_deg - lam + 1
 
     bound = VANISH_TOL * max(_reference_sup(T), _TINY)
     th = np.repeat(ths, 2 * m)
@@ -329,8 +329,8 @@ def factor_chain(T: SphericalPoly, nodes: NodeSet) -> list[SphericalPoly]:
     if T.degree != plan.n:
         raise InputError(f"deg T = {T.degree} must equal n = {plan.n}")
     quotients = []
-    for rings, m, lam in zip(plan.ring_slices(), plan.azimuth_half_counts(), plan.lambdas):
-        T = factor_step(T, m=m, lam=lam, thetas=nodes.theta[rings])
+    for rings in plan.ring_slices():
+        T = factor_step(T, nodes.theta[rings])
         quotients.append(T)
     return quotients
 
@@ -392,7 +392,7 @@ def chain_kernel_certificate(nodes: NodeSet) -> ChainKernelCertificate:
         v_full = _scaled_sigma_min(np.vander(np.array(t_all), increasing=True))
         v_half = _scaled_sigma_min(np.vander(np.array(t_north), increasing=True))
         mixed = tuple(
-            _scaled_sigma_min(mixed_parity_matrix(kp, lam, t_north))
+            _scaled_sigma_min(mixed_parity_matrix(kp, t_north))
             for kp in range(1, lam)
         )
         steps.append(

@@ -41,7 +41,6 @@ import numpy as np
 
 from .errors import InputError, PoisednessError
 from .nodes import NodeSet
-from .polynomials import from_roots
 from .spherical import SphericalPoly, band_mask
 
 RESIDUAL_TOL = 1e-8  # relative residual bound certified by solve/certificate
@@ -103,18 +102,22 @@ def assemble_matrix(nodes: NodeSet) -> np.ndarray:
     return assemble_at_points(nodes.n, nodes.points())
 
 
-def _class_blocks(t, sn, alpha, lam: int, s: int, d: int):
+def _class_blocks(t, sn, alpha, s: int):
     """Frequency-class blocks of V_g at one group's rings, and their columns.
 
-    Rows are the orthonormal real DFT coefficients of the rings: for a
-    middle class p (0 < p < s) first sqrt(2) Re, then sqrt(2) Im, ring by
-    ring; for the classes 0 and s the real part. Columns are the V_g basis
-    elements t**j sin**k (cos, sin)(k phi) whose frequency k folds onto the
-    class; each comes with its (j, k, kind) index, kind 0 for cos.
+    The group has 2 lam = len(t) rings of 2s azimuths at degree
+    d = s + lam - 1. Rows are the orthonormal real DFT coefficients of the
+    rings: for a middle class p (0 < p < s) first sqrt(2) Re, then
+    sqrt(2) Im, ring by ring; for the classes 0 and s the real part.
+    Columns are the V_g basis elements t**j sin**k (cos, sin)(k phi) whose
+    frequency k folds onto the class; each comes with its (j, k, kind)
+    index, kind 0 for cos.
     """
+    width = len(t)
+    lam = width // 2
+    d = s + lam - 1
     m2 = 2 * s
     beta = np.asarray(alpha) * math.pi / m2  # ring phase: phi_l = 2 pi l / m2 + beta
-    width = 2 * lam
     p = np.arange(1, s)[:, None]
     u = np.arange(width)[None, :]
     w_low = np.minimum(width, d - p + 1)  # band p fills the first w_low slots,
@@ -197,9 +200,7 @@ class _Chain:
             r1 = r0 + 2 * lam
             o1 = o0 + 2 * lam * 2 * s
             t = self.t[r0:r1]
-            mid, mid_index, end, end_index = _class_blocks(
-                t, self.s_pow[r0:r1, 1], nodes.alpha[r0:r1], lam, s, d
-            )
+            mid, mid_index, end, end_index = _class_blocks(t, self.s_pow[r0:r1, 1], nodes.alpha[r0:r1], s)
             pi_rings = np.prod(self.t[r1:, None] - t[None, :], axis=1)
             self.groups.append(
                 _Group(
@@ -213,7 +214,7 @@ class _Chain:
                     mid_index=mid_index,
                     end=end,
                     end_index=end_index,
-                    pi_coeffs=from_roots(t),
+                    pi_coeffs=np.poly(t)[::-1],
                     pi_later=pi_rings[self.node_ring[o1:] - r1],
                     psi=psi[r0:r1],
                 )

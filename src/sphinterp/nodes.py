@@ -74,8 +74,8 @@ def check_mirrored(thetas: Sequence[float]) -> list[float]:
     """Validate 2 lam mirror-paired latitudes and return them as floats.
 
     The count must be even and positive, every angle strictly inside
-    (0, pi), all angles distinct, and theta_{2 lam - 1 - i} = pi - theta_i
-    within ``TOL_MIRROR``.
+    (0, pi), all cosines pairwise distinct in float64, and
+    theta_{2 lam - 1 - i} = pi - theta_i within ``TOL_MIRROR``.
     """
     try:
         ths = [float(th) for th in thetas]
@@ -85,8 +85,8 @@ def check_mirrored(thetas: Sequence[float]) -> list[float]:
         raise InputError("need an even, positive number of latitudes")
     if any(not 0.0 < th < _PI for th in ths):
         raise InputError("latitudes must lie strictly inside (0, pi)")
-    if len(set(ths)) != len(ths):
-        raise InputError("latitudes must be pairwise distinct")
+    if not np.all(np.diff(np.sort(np.cos(ths))) > 0.0):
+        raise InputError("latitudes must have pairwise distinct cosines")
     for north, south in zip(ths[: len(ths) // 2], reversed(ths)):
         if abs(south - (_PI - north)) > TOL_MIRROR:
             raise InputError(
@@ -203,8 +203,8 @@ class NodeSet:
             raise InputError(f"azimuth tags must lie in [0, 2), got {self.alpha.tolist()!r}")
         for ring in self.plan.ring_slices():
             check_mirrored(self.theta[ring])
-        if np.unique(self.theta).size != rings:
-            raise InputError("latitudes must be pairwise distinct across all groups")
+        if not np.all(np.diff(np.sort(np.cos(self.theta))) > 0.0):
+            raise InputError("latitudes must have pairwise distinct cosines across all groups")
 
     @property
     def n(self) -> int:

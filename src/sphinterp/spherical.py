@@ -52,7 +52,7 @@ class SphericalPoly:
     """Degree-n spherical polynomial held as a read-only coef[j, k, kind] array.
 
     The constructor copies its input, checks the shape (n + 1, n + 1, 2) and
-    rejects any nonzero entry outside ``band_mask(n)``.
+    rejects any non-finite entry and any nonzero entry outside ``band_mask(n)``.
     """
 
     coef: np.ndarray
@@ -62,6 +62,10 @@ class SphericalPoly:
         if coef.ndim != 3 or coef.shape[1:] != (len(coef), 2) or not len(coef):
             raise InputError(f"coefficients must have shape (n + 1, n + 1, 2), got {coef.shape}")
         n = coef.shape[0] - 1
+        bad = np.argwhere(~np.isfinite(coef))
+        if bad.size:
+            j, k, kind = bad[0]
+            raise InputError(f"coefficient of t**{j} in {'ab'[kind]}_{k} must be finite, got {float(coef[j, k, kind])!r}")
         outside = np.argwhere((_by_band(coef) != 0.0) & ~band_mask(n))
         if outside.size:
             k, kind, j = outside[0]
@@ -195,17 +199,16 @@ class FoldedForm:
         return float(val)
 
 
-def fold_azimuth_modes(T: SphericalPoly, alpha: float, m: int) -> FoldedForm:
+def fold_azimuth_modes(T: SphericalPoly, alpha: float) -> FoldedForm:
     """Fold the bands of a degree 2m - 1 polynomial onto the grid form.
 
-    Rejects polynomials whose degree is not exactly 2m - 1.
+    Rejects polynomials of even degree.
     """
-    if m < 1:
-        raise InputError("m must be a positive integer")
     if not 0.0 <= alpha < 2.0:
         raise InputError(f"alpha must lie in [0, 2), got {alpha!r}")
-    if T.degree != 2 * m - 1:
-        raise InputError(f"degree must be {2 * m - 1} for m={m}, got {T.degree}")
+    if T.degree % 2 == 0:
+        raise InputError(f"degree must be odd, got {T.degree}")
+    m = (T.degree + 1) // 2
     ca = math.cos(alpha * math.pi)
     sa = math.sin(alpha * math.pi)
     low = np.array(T.coef[:, : m + 1])

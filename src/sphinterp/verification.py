@@ -53,7 +53,6 @@ from .nodes import (
     mirror_alphas,
     seeded_latitudes,
 )
-from .polynomials import integrate_unit_interval
 from .spherical import (
     SphericalPoly,
     basis_index_order,
@@ -234,7 +233,7 @@ def chebyshev_suite(rmax: int = 6, seed: int = 0) -> list[dict]:
             worst = math.inf
             for _ in range(POINT_SETS):
                 pts = sorted(_jittered_points(s, rng))
-                worst = min(worst, reduction_system_det(r, s, pts))
+                worst = min(worst, reduction_system_det(r, pts))
             rows.append(
                 _row("chebyshev", f"hdet-r{r}-s{s}", "min_sorted_det", worst, 0.0, worst > 0.0)
             )
@@ -262,7 +261,7 @@ def factorization_suite(mmax: int = 5, seeds: int = 20, seed: int = 0) -> list[d
                     T = planted
                     for th in thetas:
                         T = multiply_linear_z(T, math.cos(th))
-                    quotient = factor_step(T, m=m, lam=lam, thetas=thetas)
+                    quotient = factor_step(T, thetas)
                     ref = planted.coefficient_vector()
                     got = quotient.coefficient_vector()
                     err = float(np.max(np.abs(got - ref)) / max(1.0, np.max(np.abs(ref))))
@@ -279,7 +278,7 @@ def factorization_suite(mmax: int = 5, seeds: int = 20, seed: int = 0) -> list[d
                 sv = np.linalg.svd(mat, compute_uv=False)
                 ratio = float(sv[-1] / sv[0])
                 rows.append(_row("factorization", case, "grid_sigma_min", ratio, SIGMA_TOL, ratio > SIGMA_TOL))
-                out = factor_step(zero_spherical(s_deg), m=m, lam=lam, thetas=thetas)
+                out = factor_step(zero_spherical(s_deg), thetas)
                 ok = out.degree == 0 and out.coeff_scale() == 0.0
                 rows.append(_row("factorization", case, "zero_in_zero_out", int(ok), 1, ok))
 
@@ -340,7 +339,7 @@ def lemmas_suite(mmax: int = 6, fold_trials: int = 50, seed: int = 0) -> list[di
             worst = 0.0
             for _ in range(fold_trials):
                 T = random_spherical(n, rng)
-                folded = fold_azimuth_modes(T, alpha, m)
+                folded = fold_azimuth_modes(T, alpha)
                 theta = float(rng.uniform(0.1, _PI - 0.1))
                 phis = azimuth_grid(m, alpha)
                 direct = T.eval(theta, phis).tolist()
@@ -442,7 +441,9 @@ def cubature_suite(mmax: int = 6, trig_trials: int = 50, seed: int = 0) -> list[
         except PoisednessError as exc:
             rows.append(_row("cubature", f"m{m}-legendre", "interp_consistency", exc.condition_estimate, "solve raised", False))
         else:
-            via_interp = 2.0 * _PI * integrate_unit_interval(report.solution.coef[:, 0, 0])
+            # a_0 integrated over [-1, 1]: odd terms cancel, even terms give 2 c_j / (j + 1)
+            a0 = report.solution.coef[:, 0, 0].tolist()
+            via_interp = 2.0 * _PI * sum(2.0 * c / (j + 1) for j, c in enumerate(a0) if j % 2 == 0)
             via_rule = apply_rule(rule, f)
             diff = abs(via_interp - via_rule)
             rows.append(

@@ -184,6 +184,23 @@ def test_interpolate_nan_data_is_bad_input(tmp_path: Path):
     assert "finite" in res.stderr and "Traceback" not in res.stderr
 
 
+def test_interpolate_data_that_overflows_the_solve_is_bad_input(tmp_path: Path):
+    # finite data near the float64 limit overflow inside the solve; the
+    # non-finite coefficients must stop the command before it writes a file
+    nodes_path = tmp_path / "nodes.json"
+    assert run_cli("gen-nodes", "--n", "5", "--plan", "3", "--out", str(nodes_path)).returncode == 0
+    points = NodeSet.from_json_dict(json.loads(nodes_path.read_text())).points()
+    data = tmp_path / "big.csv"
+    data.write_text("".join(f"{i},{1.7e308 * math.cos(th)!r}\n" for i, (th, _) in enumerate(points.tolist())))
+    outs = [tmp_path / "c.json", tmp_path / "r.json"]
+    res = run_cli(
+        "interpolate", "--nodes", str(nodes_path), "--data", str(data), "--out-coeffs", str(outs[0]), "--out-report", str(outs[1])
+    )
+    assert res.returncode == 2
+    assert "must be finite, got nan" in res.stderr and "Traceback" not in res.stderr
+    assert not any(path.exists() for path in outs)
+
+
 @pytest.mark.parametrize(
     "edit",
     [
@@ -352,6 +369,30 @@ def test_cubature_rejects_asymmetric_file(tmp_path: Path):
     )
     assert res.returncode == 2
     assert "mirror" in res.stderr
+
+
+def test_latitudes_whose_cosines_coincide_are_bad_input(tmp_path: Path):
+    # the cosines of 1e-9 and 2e-9 both round to 1.0, those of their mirrors to -1.0
+    rule_lats = tmp_path / "rule_lats.json"
+    rule_lats.write_text(json.dumps([1e-9, 2e-9, math.pi - 2e-9, math.pi - 1e-9]))
+    group_lats = tmp_path / "group_lats.json"
+    group_lats.write_text(json.dumps([[1e-9], [2e-9]]))
+    nodes = tmp_path / "nodes.json"
+    assert run_cli("gen-nodes", "--n", "3", "--plan", "1,1", "--out", str(nodes)).returncode == 0
+    data = json.loads(nodes.read_text())
+    del data["points"]
+    for group, north in zip(data["groups"], (1e-9, 2e-9)):
+        group["latitudes"][0]["theta"], group["latitudes"][1]["theta"] = north, math.pi - north
+    nodes.write_text(json.dumps(data))
+    outs = [tmp_path / name for name in ("rule.json", "cert.json", "new_nodes.json", "coeffs.json", "report.json")]
+    for res in (
+        run_cli("cubature", "--m", "2", "--latitudes", "file", "--lat-file", str(rule_lats), "--out-rule", str(outs[0]), "--out-cert", str(outs[1])),
+        run_cli("gen-nodes", "--n", "3", "--plan", "1,1", "--latitudes", "file", "--lat-file", str(group_lats), "--out", str(outs[2])),
+        run_cli("interpolate", "--nodes", str(nodes), "--function", "one", "--out-coeffs", str(outs[3]), "--out-report", str(outs[4])),
+    ):
+        assert res.returncode == 2
+        assert "pairwise distinct cosines" in res.stderr and "Traceback" not in res.stderr
+    assert not any(path.exists() for path in outs)
 
 
 def test_cubature_rejects_file_that_disagrees_with_m(tmp_path: Path):

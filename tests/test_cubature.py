@@ -18,7 +18,6 @@ from sphinterp import (
     build_rule,
     equispaced_latitudes,
     exactness_certificate,
-    integrate_unit_interval,
     legendre_latitudes,
     legendre_rule,
     seeded_latitudes,
@@ -314,7 +313,8 @@ def test_integrating_interpolant_matches_rule():
     f = lambda th, ph: math.exp(math.cos(th)) + math.sin(th) * math.cos(ph)
     data = [f(th, ph) for th, ph in nodes.points()]
     report = solve(InterpolationProblem(nodes=nodes, data=tuple(data)))
-    via_interp = 2.0 * PI * integrate_unit_interval(report.solution.coef[:, 0, 0])
+    antiderivative = np.polynomial.polynomial.polyint(report.solution.coef[:, 0, 0], lbnd=-1.0)
+    via_interp = 2.0 * PI * np.polynomial.polynomial.polyval(1.0, antiderivative)
     via_rule = apply_rule(rule, f)
     assert via_interp == pytest.approx(via_rule, abs=1e-8)
 
@@ -355,6 +355,21 @@ def test_rule_from_json_dict_rejects_non_numbers_and_nodes_that_disagree(edit, m
     edit(data)
     with pytest.raises(InputError, match=match):
         CubatureRule.from_json_dict(data)
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda d: d["weights"].__setitem__(0, "1.0"), "a weight must be a number, got '1.0'"),
+        (lambda d: d.update(m=2.5), "m must be an integer, got 2.5"),
+    ],
+)
+def test_rule_reader_raises_its_own_input_error_unwrapped(edit, message):
+    data = json.loads(json.dumps(legendre_rule(2).to_json_dict()))
+    edit(data)
+    with pytest.raises(InputError) as exc:
+        CubatureRule.from_json_dict(data)
+    assert str(exc.value) == message
 
 
 def test_rule_json_without_nodes_loads_the_same_rule():

@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import numpy.polynomial.polynomial as npoly
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from helpers import det_cofactor, halfpower_derivative_poly_value, jittered_points
 from sphinterp import (
@@ -32,6 +33,7 @@ from sphinterp import (
     seeded_latitudes,
     zero_spherical,
 )
+from sphinterp.factorization import DIVISION_TOL, _divide_band
 
 PI = math.pi
 
@@ -137,7 +139,7 @@ def test_reduction_polys_match_derivative_oracle(r, s):
 def test_reduction_det_s1_is_positive_polynomial_value():
     # s = 1: the determinant is h_0 at the single point, positive since all
     # coefficients are positive and the argument is positive
-    val = reduction_system_det(3, 1, [0.42])
+    val = reduction_system_det(3, [0.42])
     family = reduction_coefficients(3, 1)
     assert val == pytest.approx(npoly.polyval(0.42, family.poly(0)))
     assert val > 0.0
@@ -149,7 +151,7 @@ def test_reduction_det_2x2_direct():
     family = reduction_coefficients(r, s)
     h0, h1 = family.poly(0), family.poly(1)
     direct = npoly.polyval(0.3, h0) * npoly.polyval(0.7, h1) - npoly.polyval(0.7, h0) * npoly.polyval(0.3, h1)
-    det = reduction_system_det(r, s, pts)
+    det = reduction_system_det(r, pts)
     assert det == pytest.approx(direct, rel=1e-13)
     assert det > 0.0
 
@@ -160,7 +162,7 @@ def test_reduction_dets_positive_sorted_sweep(r):
     for s in range(1, r):
         for _ in range(5):
             pts = sorted(jittered_points(s, rng))
-            assert reduction_system_det(r, s, pts) > 0.0
+            assert reduction_system_det(r, pts) > 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +229,7 @@ def test_mixed_parity_random_pairs_fail():
         k = int(rng.integers(1, m + 1))
         vec = rng.standard_normal(2 * m)  # p (2m - k coefficients), then q (k)
         pts = jittered_points(m, rng)
-        resid = mixed_parity_matrix(k, m, pts) @ vec
+        resid = mixed_parity_matrix(k, pts) @ vec
         if np.max(np.abs(resid)) > 1e-11 * max(1.0, np.max(np.abs(vec))):
             count += 1
     assert count == 200
@@ -240,7 +242,7 @@ def test_mixed_parity_residuals_match_matrix():
     p = rng.standard_normal(2 * m - k)
     q = rng.standard_normal(k)
     pts = jittered_points(m, rng)
-    mat = mixed_parity_matrix(k, m, pts)
+    mat = mixed_parity_matrix(k, pts)
     resid = mat @ np.concatenate([p, q])
 
     def part(c, parity):
@@ -262,9 +264,110 @@ def test_mixed_parity_kernel_trivial_sweep(m):
     for k in range(1, m + 1):
         for _ in range(25):
             pts = jittered_points(m, rng)
-            mat = mixed_parity_matrix(k, m, pts)
+            mat = mixed_parity_matrix(k, pts)
             sv = np.linalg.svd(mat, compute_uv=False)
             assert sv[-1] > 1e-10 * sv[0]
+
+
+# ---------------------------------------------------------------------------
+# Band division
+# ---------------------------------------------------------------------------
+
+
+def test_divide_exact_factorization():
+    assert _divide_band(np.array([-1.0, 0.0, 1.0]), [1.0, -1.0], 1.0).tolist() == [1.0]
+
+
+def test_divide_nonroot_raises_naming_the_root():
+    with pytest.raises(InternalInconsistencyError) as exc:
+        _divide_band(np.array([1.0, 0.0, 1.0]), [1.0], 1.0)
+    assert "division by (t - 1.0) leaves remainder 2.000e+00" in str(exc.value)
+
+
+def test_divide_rejects_a_nan_remainder():
+    # NaN > bound is False, so the check must read "not |rem| <= bound"
+    with pytest.raises(InternalInconsistencyError, match="remainder nan"):
+        _divide_band(np.array([math.nan, 1.0]), [0.5], 1.0)
+
+
+def test_divide_expanded_product():
+    # (t - 0.3)(t + 0.3)(t^2 + 2) = t^4 + 1.91 t^2 - 0.18
+    p = np.convolve(npoly.polyfromroots([0.3, -0.3]), [2.0, 0.0, 1.0])
+    assert np.allclose(p, [-0.18, 0.0, 1.91, 0.0, 1.0])
+    q = _divide_band(p, [0.3, -0.3], 1.0)
+    assert np.max(np.abs(q - [2.0, 0.0, 1.0])) < 1e-12
+
+
+def test_divide_constant_dividend_gives_positive_zero():
+    assert _divide_band(np.array([-0.0]), [0.5, -0.5], 1.0).tolist() == [0.0]
+    # the first root leaves the constant -1e-9, within 1e-8 * 0.9: polydiv's
+    # quotient of it is -0.0, and the division must hand back +0.0
+    q = _divide_band(np.array([1e-8, -1e-9]), [10.0, 0.5], 0.9)
+    assert q.tolist() == [0.0] and not np.signbit(q).any()
+
+
+def test_divide_keeps_the_structural_length_when_top_coefficients_are_zero():
+    assert _divide_band(np.array([-0.5, 1.0, 0.0, 0.0]), [0.5], 1.0).tolist() == [1.0, 0.0, 0.0]
+    assert _divide_band(np.array([-0.25, 0.0, 1.0, 0.0, 0.0]), [0.5, -0.5], 1.0).tolist() == [1.0, 0.0, 0.0]
+
+
+def _synthetic_division_reference(coeffs, roots, scale):
+    """Schoolbook synthetic division in Python floats, root by root, with
+    remainders bounded by DIVISION_TOL * scale; a band already within the
+    bound is the zero quotient."""
+    work = [float(c) for c in coeffs]
+    bound = DIVISION_TOL * scale
+    if max(abs(c) for c in work) <= bound:
+        return [0.0] * max(len(work) - len(roots), 1)
+    for r in roots:
+        quot, acc = [0.0] * max(len(work) - 1, 1), work[-1]
+        for j in range(len(work) - 2, -1, -1):
+            quot[j] = acc
+            acc = work[j] + r * acc
+        if abs(acc) > bound:
+            return ("raised", r, f"{abs(acc):.3e}")
+        work = quot
+    return work
+
+
+def test_divide_matches_python_synthetic_division():
+    # quotients, remainders and raised roots all equal the schoolbook loop
+    rng = np.random.default_rng(11)
+    for trial in range(2000):
+        roots = rng.uniform(-1.0, 1.0, size=int(rng.integers(0, 5))).tolist()
+        p = rng.standard_normal(int(rng.integers(1, 10)))
+        if trial % 2:
+            p = np.convolve(p, npoly.polyfromroots(roots))
+        if trial % 3 == 0:
+            p[len(p) // 2 :] = 0.0
+        scale = float(np.max(np.abs(p)) * rng.choice([1e-4, 1e2, 1e9]))
+        expected = _synthetic_division_reference(p.tolist(), roots, scale)
+        try:
+            got = _divide_band(p, roots, scale).tolist()
+        except InternalInconsistencyError as exc:
+            root, residual = str(exc).split("(t - ")[1].split(") leaves remainder ")
+            got = ("raised", float(root), residual.split()[0])
+        assert got == expected
+
+
+@given(
+    st.lists(st.floats(min_value=-1e3, max_value=1e3, allow_nan=False), min_size=1, max_size=8),
+    st.lists(st.floats(min_value=-0.9, max_value=0.9, allow_nan=False), min_size=1, max_size=3, unique=True),
+)
+def test_divide_then_remultiply(a, roots):
+    assume(all(abs(r1 - r2) > 1e-3 for i, r1 in enumerate(roots) for r2 in roots[:i]))
+    base = np.array(a)
+    # relative tolerances need tol * scale representable; stay clear of the
+    # subnormal floor where that product underflows to zero
+    assume(np.max(np.abs(base)) > 1e-100)
+    p = np.convolve(base, npoly.polyfromroots(roots))
+    scale = np.max(np.abs(p))
+    q = _divide_band(p, roots, scale)
+    back = np.convolve(q, npoly.polyfromroots(roots))
+    bound = 1e-10 * scale
+    for j, c in enumerate(p):
+        got = back[j] if j < len(back) else 0.0
+        assert abs(got - c) <= max(bound, 64 * np.finfo(float).eps * scale)
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +379,7 @@ def test_factor_step_planted_constant():
     thetas = [0.6, PI - 0.6]
     one_poly = SphericalPoly([[[1.0, 0.0]]])  # the constant 1
     T = multiply_linear_z(multiply_linear_z(one_poly, math.cos(thetas[0])), math.cos(thetas[1]))
-    out = factor_step(T, m=2, lam=1, thetas=thetas)
+    out = factor_step(T, thetas)
     assert out.degree == 0
     assert out.coef[0, 0, 0] == pytest.approx(1.0, abs=1e-12)
 
@@ -295,7 +398,7 @@ def test_factor_step_plant_and_recover(m):
             T = planted
             for th in thetas:
                 T = multiply_linear_z(T, math.cos(th))
-            out = factor_step(T, m=m, lam=lam, thetas=thetas)
+            out = factor_step(T, thetas)
             ref = planted.coefficient_vector()
             got = out.coefficient_vector()
             assert np.max(np.abs(got - ref)) <= 1e-8 * max(1.0, np.max(np.abs(ref)))
@@ -310,7 +413,7 @@ def test_factor_step_roundtrip_multiplication():
     T = planted
     for th in thetas:
         T = multiply_linear_z(T, math.cos(th))
-    out = factor_step(T, m=m, lam=lam, thetas=thetas)
+    out = factor_step(T, thetas)
     back = out
     for th in thetas:
         back = multiply_linear_z(back, math.cos(th))
@@ -319,8 +422,17 @@ def test_factor_step_roundtrip_multiplication():
     )
 
 
+def test_factor_step_input_cannot_carry_nan():
+    # a NaN constant would pass the vanishing and annihilation checks (NaN >
+    # bound is False) and come back as the zero quotient of a full-degree step
+    coef = np.zeros((4, 4, 2))
+    coef[0, 0, 0] = math.nan
+    with pytest.raises(InputError, match="t\\*\\*0 in a_0 must be finite, got nan"):
+        factor_step(SphericalPoly(coef), [0.5, 0.8, PI - 0.8, PI - 0.5])
+
+
 def test_factor_step_full_degree_returns_zero():
-    out = factor_step(zero_spherical(3), m=2, lam=2, thetas=[0.5, 0.8, PI - 0.8, PI - 0.5])
+    out = factor_step(zero_spherical(3), [0.5, 0.8, PI - 0.8, PI - 0.5])
     assert out.degree == 0
     assert out.coeff_scale() == 0.0
 
@@ -329,7 +441,7 @@ def test_factor_step_rejects_nonvanishing_input():
     rng = np.random.default_rng(53)
     T = random_spherical(3, rng)
     with pytest.raises(InputError) as exc:
-        factor_step(T, m=2, lam=2, thetas=[0.5, 0.8, PI - 0.8, PI - 0.5])
+        factor_step(T, [0.5, 0.8, PI - 0.8, PI - 0.5])
     assert "vanish" in str(exc.value)
 
 
@@ -338,18 +450,15 @@ def test_factor_step_names_first_nonvanishing_node():
     coef[0, 0, 0] = 1.0
     T = SphericalPoly(coef)
     with pytest.raises(InputError) as exc:
-        factor_step(T, m=2, lam=2, thetas=[0.5, 0.8, PI - 0.8, PI - 0.5])
+        factor_step(T, [0.5, 0.8, PI - 0.8, PI - 0.5])
     assert "theta=0.5, phi=0.0:" in str(exc.value)
 
 
 def test_factor_step_parameter_validation():
-    thetas = [0.5, PI - 0.5]
+    with pytest.raises(InputError, match="deg T >= 2 lam - 1 = 3"):
+        factor_step(zero_spherical(2), [0.5, 0.8, PI - 0.8, PI - 0.5])  # deg T < 2 lam - 1
     with pytest.raises(InputError):
-        factor_step(zero_spherical(3), m=3, lam=2, thetas=thetas)  # lam != s - m + 1
-    with pytest.raises(InputError):
-        factor_step(zero_spherical(5), m=2, lam=4, thetas=thetas)  # degree out of range
-    with pytest.raises(InputError):
-        factor_step(zero_spherical(1), m=1, lam=1, thetas=[0.5, PI - 0.6])  # asymmetric
+        factor_step(zero_spherical(1), [0.5, PI - 0.6])  # asymmetric
 
 
 def test_factor_step_inconsistency_on_forged_bands():
@@ -367,7 +476,7 @@ def test_factor_step_inconsistency_on_forged_bands():
         coeff_scale = T.coeff_scale
 
     with pytest.raises(InternalInconsistencyError):
-        factor_step(Forged(), m=2, lam=1, thetas=thetas)
+        factor_step(Forged(), thetas)
 
 
 def test_factor_chain_zero_in_zero_out():

@@ -1,8 +1,8 @@
-"""Every module under src/ and tests/ uses each name it imports.
+"""Every module under src/ and tests/ uses each name it imports or assigns.
 
-The repository has no linter configured, so this ``ast`` scan stands in
-for an unused-import check. Package ``__init__`` files are exempt: their
-imports are the public re-exports.
+The repository has no linter configured, so these ``ast`` scans stand in
+for unused-import and unused-local checks. Package ``__init__`` files are
+exempt from the import scan: their imports are the public re-exports.
 """
 
 import ast
@@ -40,3 +40,63 @@ def test_scan_flags_an_unused_import():
 @pytest.mark.parametrize("module", MODULES)
 def test_no_unused_imports(module):
     assert unused_imports((ROOT / module).read_text(encoding="utf-8")) == []
+
+
+def _own_statements(func):
+    """Statements of ``func``, not descending into nested functions or classes."""
+    todo = list(func.body)
+    while todo:
+        node = todo.pop()
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node
+            todo.extend(child for child in ast.iter_child_nodes(node) if isinstance(child, (ast.stmt, ast.excepthandler)))
+
+
+def unused_locals(source: str) -> list[str]:
+    """``function:name`` for each plain ``name = value`` in a function that
+    nothing in the function reads; loop and comprehension targets, tuple
+    unpacking and class bodies are not plain assignments."""
+    found = []
+    for func in ast.walk(ast.parse(source)):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        read = {node.id for node in ast.walk(func) if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)}
+        read |= {node.target.id for node in ast.walk(func) if isinstance(node, ast.AugAssign) and isinstance(node.target, ast.Name)}
+        read |= {name for node in ast.walk(func) if isinstance(node, (ast.Global, ast.Nonlocal)) for name in node.names}
+        assigned = {
+            target.id
+            for node in _own_statements(func)
+            if isinstance(node, ast.Assign)
+            for target in node.targets
+            if isinstance(target, ast.Name)
+        }
+        found += [f"{func.name}:{name}" for name in sorted(assigned - read)]
+    return found
+
+
+def test_scan_flags_an_unused_local():
+    source = (
+        "def f(xs):\n"
+        "    kept = 1\n"
+        "    dropped = 2\n"
+        "    a, b = xs\n"
+        "    for item in xs:\n"
+        "        pass\n"
+        "    class C:\n"
+        "        attr = 3\n"
+        "    def g():\n"
+        "        inner = kept\n"
+        "    total = 0\n"
+        "    total += 1\n"
+        "    try:\n"
+        "        pass\n"
+        "    except ValueError:\n"
+        "        caught = 4\n"
+        "    return [y for y in xs]\n"
+    )
+    assert unused_locals(source) == ["f:caught", "f:dropped", "g:inner"]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_unused_locals(module):
+    assert unused_locals((ROOT / module).read_text(encoding="utf-8")) == []

@@ -22,7 +22,7 @@ from sphinterp import (
     solve,
     spherical_from_vector,
 )
-from sphinterp.interpolation import _class_blocks
+from sphinterp.interpolation import _Chain, _class_blocks
 from sphinterp.nodes import NodeSet, azimuth_grid, mirror
 from sphinterp.verification import TOL_PLANT_COEFF
 
@@ -75,7 +75,7 @@ def test_class_blocks_are_the_ring_spectra_of_the_coefficients(s, alpha):
     T = random_spherical(2 * s - 1, rng)
     theta = np.sort(rng.uniform(0.1, PI - 0.1, size=2 * s))
     tags = np.full(2 * s, alpha)
-    mid, mid_index, end, end_index = _class_blocks(np.cos(theta), np.sin(theta), tags, s, s, 2 * s - 1)
+    mid, mid_index, end, end_index = _class_blocks(np.cos(theta), np.sin(theta), tags, s)
     spectra = np.fft.rfft(T.eval(theta[:, None], azimuth_grid(s, tags)), axis=1, norm="ortho")
     middle = spectra[:, 1:s].T
     pairs = [
@@ -85,6 +85,26 @@ def test_class_blocks_are_the_ring_spectra_of_the_coefficients(s, alpha):
     for got, expected in pairs:  # the middle pair is empty at s = 1
         assert got.shape == expected.shape
         assert np.max(np.abs(got - expected), initial=0.0) <= 1e-13 * np.max(np.abs(expected), initial=0.0)
+
+
+def test_pi_coeffs_match_python_product_loop():
+    # reference: the schoolbook product, one factor (t - r) at a time over the
+    # group's latitude cosines, in Python floats; the chain's Pi_g must
+    # reproduce it bit for bit (a pairwise product such as polyfromroots
+    # rounds differently and would change the solver's coefficients)
+    for seed in range(8):
+        for n in (1, 3, 5, 7, 9, 21):
+            for plan in enumerate_partitions(n)[:16]:
+                nodes = build_nodeset(plan, seeded_latitudes(plan, seed))
+                for g, rings in zip(_Chain(nodes).groups, plan.ring_slices()):
+                    ref = [1.0]
+                    for r in np.cos(nodes.theta[rings]).tolist():
+                        out = [0.0] * (len(ref) + 1)
+                        for i, c in enumerate(ref):
+                            out[i] += c * -r
+                            out[i + 1] += c
+                        ref = out
+                    assert g.pi_coeffs.tolist() == ref
 
 
 def test_example_nodeset_is_full_rank():

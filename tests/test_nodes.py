@@ -275,7 +275,7 @@ def _rule_with_mirror_error(error):
 
 
 def _factor_step_with_mirror_error(error):
-    factor_step(zero_spherical(3), m=2, lam=2, thetas=[PI / 6, PI / 3, PI - PI / 3, PI - PI / 6 + error])
+    factor_step(zero_spherical(3), [PI / 6, PI / 3, PI - PI / 3, PI - PI / 6 + error])
 
 
 @pytest.mark.parametrize(
@@ -331,6 +331,28 @@ def test_nodeset_copies_its_arrays_and_freezes_them():
 def test_nodeset_rejects_bad_arrays(theta, alpha, match):
     with pytest.raises(InputError, match=match):
         NodeSet(plan=PartitionPlan(n=3, lambdas=(2,)), theta=theta, alpha=alpha)
+
+
+@pytest.mark.parametrize(
+    "check",
+    [
+        lambda lats: build_nodeset(PartitionPlan(n=3, lambdas=(2,)), [lats]),
+        lambda lats: build_rule(mirror(lats)),
+        lambda lats: factor_step(zero_spherical(3), mirror(lats)),
+    ],
+    ids=["nodeset", "rule", "factor_step"],
+)
+def test_latitudes_whose_cosines_coincide_in_float64_are_rejected(check):
+    # 1e-9 != 2e-9, but both cosines round to 1.0 (and their mirrors' to -1.0)
+    assert math.cos(1e-9) == math.cos(2e-9) == 1.0
+    with pytest.raises(InputError, match="latitudes must have pairwise distinct cosines"):
+        check([1e-9, 2e-9])
+
+
+def test_nodeset_rejects_cosines_that_coincide_across_groups():
+    plan = PartitionPlan(n=3, lambdas=(1, 1))
+    with pytest.raises(InputError, match="pairwise distinct cosines across all groups"):
+        build_nodeset(plan, [[1e-9], [2e-9]])
 
 
 def test_nodeset_rings_must_mirror_within_their_group():

@@ -69,6 +69,14 @@ def test_negative_degree_is_input_error(build, n):
         build(n)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_constructor_rejects_non_finite_coefficients(bad):
+    coef = np.zeros((3, 3, 2))
+    coef[1, 2, 0] = bad  # outside the bands too: finiteness is checked first
+    with pytest.raises(InputError, match=f"t\\*\\*1 in a_2 must be finite, got {bad!r}"):
+        SphericalPoly(coef)
+
+
 def test_constructor_rejects_every_slot_outside_the_bands():
     n = 3
     mask = band_mask(n)
@@ -186,7 +194,7 @@ def test_multiply_linear_z_matches_pointwise():
 def test_fold_constant_is_constant():
     T = band_poly(1, 0, "a", [1.0])
     for alpha in (0.0, 1.0, 0.37):
-        folded = fold_azimuth_modes(T, alpha, 1)
+        folded = fold_azimuth_modes(T, alpha)
         assert folded.low[:, 0, 0].tolist() == [1.0, 0.0]
         assert not np.any(folded.low[:, 1, 0])  # the axial band
 
@@ -197,7 +205,7 @@ def test_fold_alpha_zero_highband_signs():
     n = 2 * m - 1
     rng = np.random.default_rng(4)
     T = random_spherical(n, rng)
-    folded = fold_azimuth_modes(T, 0.0, m)
+    folded = fold_azimuth_modes(T, 0.0)
     for idx in range(m - 1):
         k = idx + 1
         assert np.allclose(folded.high[:k, k, 0], T.coef[:k, 2 * m - k, 0])
@@ -208,7 +216,7 @@ def test_fold_high_band_degrees():
     m = 4
     rng = np.random.default_rng(5)
     T = random_spherical(2 * m - 1, rng)
-    folded = fold_azimuth_modes(T, 0.37, m)
+    folded = fold_azimuth_modes(T, 0.37)
     for idx in range(m - 1):
         k = idx + 1
         assert not np.any(folded.high[k:, k])  # degree at most k - 1
@@ -220,7 +228,7 @@ def test_fold_identity_on_grid(m, alpha):
     rng = np.random.default_rng(10 * m + int(10 * alpha))
     for _ in range(10):
         T = random_spherical(2 * m - 1, rng)
-        folded = fold_azimuth_modes(T, alpha, m)
+        folded = fold_azimuth_modes(T, alpha)
         theta = float(rng.uniform(0.1, math.pi - 0.1))
         for j in range(2 * m):
             phi = (2 * j + alpha) * math.pi / (2 * m)
@@ -229,14 +237,19 @@ def test_fold_identity_on_grid(m, alpha):
             assert abs(folded.eval(theta, phi) - direct) <= 1e-12 * scale
 
 
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_fold_reads_m_off_the_degree(m):
+    assert fold_azimuth_modes(zero_spherical(2 * m - 1), 0.37).m == m
+
+
 def test_fold_rejects_wrong_degree():
-    with pytest.raises(InputError):
-        fold_azimuth_modes(zero_spherical(4), 0.0, 2)  # degree 4 != 2m-1
+    with pytest.raises(InputError, match="degree must be odd, got 4"):
+        fold_azimuth_modes(zero_spherical(4), 0.0)  # no m with 2m - 1 = 4
 
 
 def test_fold_rejects_off_grid_eval():
     T = band_poly(1, 0, "a", [1.0])
-    folded = fold_azimuth_modes(T, 0.0, 1)
+    folded = fold_azimuth_modes(T, 0.0)
     with pytest.raises(InputError):
         folded.eval(0.8, 0.3)  # sin(phi) != 0
 
