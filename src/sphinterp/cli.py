@@ -5,7 +5,7 @@ is CSV; inputs may start with a UTF-8 byte-order mark. All angles are
 serialized in radians at full double precision, and every command is
 deterministic given its flags and seed, so repeated runs produce
 byte-identical files. The environment variable SPHINTERP_SEED overrides
-the default seed.
+the default seed of ``verify``, the one command that takes a seed.
 """
 
 from __future__ import annotations
@@ -244,6 +244,10 @@ def cmd_cubature(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.seed is None:
+        args.seed = _default_seed()
+    if args.seed < 0:
+        raise InputError(f"seed must be a nonnegative integer, got {args.seed}")
     if args.suite not in _SUITES:
         raise InputError(f"unknown suite {args.suite!r}; choose from {sorted(_SUITES)}")
     if args.m < 1 or args.trials < 1:
@@ -344,10 +348,6 @@ def main(argv=None) -> int:
     """Run one command: exit 0 on success, 1 on a numerical failure, 2 on bad input."""
     args = build_parser().parse_args(argv)
     try:
-        if getattr(args, "seed", None) is None:
-            args.seed = _default_seed()
-        if args.seed < 0:
-            raise InputError(f"seed must be a nonnegative integer, got {args.seed}")
         return args.func(args)
     except PoisednessError as exc:
         print(

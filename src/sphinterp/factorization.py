@@ -283,11 +283,15 @@ def factor_step(T: SphericalPoly, thetas: Sequence[float]) -> SphericalPoly:
         raise InputError(f"need deg T >= 2 lam - 1 = {2 * lam - 1} for {2 * lam} latitudes, got {s_deg}")
     m = s_deg - lam + 1
 
-    bound = VANISH_TOL * max(_reference_sup(T), _TINY)
     th = np.repeat(ths, 2 * m)
     ph = azimuth_grid(m, mirror_alphas(len(ths))).ravel()
-    vals = np.abs(T.eval(th, ph))
-    bad = np.flatnonzero(vals > bound)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing T is bad input, rejected below
+        sup = _reference_sup(T)
+        vals = np.abs(T.eval(th, ph))
+    if not math.isfinite(sup):
+        raise InputError(f"input is not finite on the reference grid: max |T| = {sup!r}")
+    bound = VANISH_TOL * max(sup, _TINY)
+    bad = np.flatnonzero(~(vals <= bound))  # NaN fails
     if bad.size:
         i = bad[0]
         raise InputError(
@@ -300,7 +304,7 @@ def factor_step(T: SphericalPoly, thetas: Sequence[float]) -> SphericalPoly:
     scale = max(T.coeff_scale(), _TINY)
     top = max(new_deg + 1, 0)
     band_scales = np.max(np.abs(T.coef[:, top:]), axis=0)  # [k - top, kind]
-    bad = np.argwhere(band_scales > DIVISION_TOL * scale)
+    bad = np.argwhere(~(band_scales <= DIVISION_TOL * scale))  # NaN fails
     if bad.size:
         k, kind = bad[0]
         raise InternalInconsistencyError(

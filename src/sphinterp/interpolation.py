@@ -16,7 +16,8 @@ vanishes on group g, so the group's values determine the V_g part alone:
   by Pi_g(cos theta), and the chain recurses at degree d_g - 2 lambda_g;
 * the monomial bands are rebuilt as a_k = r_k + Pi_g q_k.
 
-Several right-hand sides go through one pass as columns. Reported numbers:
+``solve`` and ``poisedness_certificate`` read one pass, which solves several
+right-hand sides as columns and then refines them once. Reported numbers:
 
 * ``pivot_min``: the smallest singular value among the diagonal blocks of
   that factorization, the frequency blocks with the rows of each ring
@@ -222,24 +223,15 @@ class _Chain:
             psi[r1:] *= pi_rings
             r0, o0 = r1, o1
 
-    def band_values(self, coef: np.ndarray, rings: slice) -> np.ndarray:
-        """s**k times each band polynomial at the given rings: [ring, k, kind, column]."""
+    def values(self, coef: np.ndarray, rings: slice = slice(0, None), nodes: slice = slice(None)) -> np.ndarray:
+        """Values of coefficient columns at the given nodes, which lie on the
+        given rings (default: every node): [node, column]."""
         width, bands = coef.shape[:2]
-        vals = self.t_pow[rings, :width] @ coef.reshape(width, -1)
-        return vals.reshape(-1, bands, 2, coef.shape[-1]) * self.s_pow[rings, :bands, None, None]
-
-    def node_values(self, bands: np.ndarray, rings: slice, nodes: slice) -> np.ndarray:
-        """Values at the given nodes from ``band_values`` taken at their rings."""
-        per_node = bands[self.node_ring[nodes] - rings.start]
-        k = bands.shape[1]
-        return np.einsum("nkc,nk->nc", per_node[:, :, 0], self.cos[nodes, :k]) + np.einsum(
-            "nkc,nk->nc", per_node[:, :, 1], self.sin[nodes, :k]
+        vals = (self.t_pow[rings, :width] @ coef.reshape(width, -1)).reshape(-1, bands, 2, coef.shape[-1])
+        per_node = (vals * self.s_pow[rings, :bands, None, None])[self.node_ring[nodes] - rings.start]
+        return np.einsum("nkc,nk->nc", per_node[:, :, 0], self.cos[nodes, :bands]) + np.einsum(
+            "nkc,nk->nc", per_node[:, :, 1], self.sin[nodes, :bands]
         )
-
-    def evaluate(self, coef: np.ndarray) -> np.ndarray:
-        """Values of coefficient columns at every node, in node order."""
-        everything = slice(0, len(self.t))
-        return self.node_values(self.band_values(coef, everything), everything, slice(None))
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Coefficients of the interpolants of the columns of rhs (node order).
@@ -261,7 +253,7 @@ class _Chain:
             if g.later_nodes.start < self.size:  # not the last group
                 if not np.all(g.pi_later):
                     raise np.linalg.LinAlgError("a later ring shares a latitude cosine with this group")
-                done = self.node_values(self.band_values(r, g.later_rings), g.later_rings, g.later_nodes)
+                done = self.values(r, g.later_rings, g.later_nodes)
                 work[g.later_nodes] = (work[g.later_nodes] - done) / g.pi_later[:, None]
         coef = None
         for g, r in zip(reversed(self.groups), reversed(parts)):
@@ -289,21 +281,31 @@ class _Chain:
         with np.errstate(divide="ignore"):
             return float(sigma.min()), float(np.sum(np.log(sigma)))
 
-
-def _probes(size: int) -> np.ndarray:
-    return np.random.default_rng(_PROBE_SEED).choice((-1.0, 1.0), size=(size, _PROBES))
-
-
-def _first_pass(chain: _Chain, f: np.ndarray) -> tuple[np.ndarray, float]:
-    """Solve the columns of f with the probes; return their coefficients and kappa."""
-    cols = f.shape[1]
-    coef = chain.solve(np.concatenate([f, _probes(chain.size)], axis=1))
-    cond = chain.norm_inf * float(np.max(np.abs(coef[..., cols:])))
-    return coef[..., :cols], max(cond, 1.0) if math.isfinite(cond) else math.inf
+    @np.errstate(over="ignore", invalid="ignore")
+    def refine(self, f: np.ndarray, coef: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """One refinement step for the columns of f: the refined coefficients
+        and each column's largest residual at the nodes."""
+        coef = coef + self.solve(f - self.values(coef))
+        return coef, np.max(np.abs(self.values(coef) - f), axis=0)
 
 
-def _refine(chain: _Chain, f: np.ndarray, coef: np.ndarray) -> np.ndarray:
-    return coef + chain.solve(f - chain.evaluate(coef))
+@np.errstate(over="ignore", invalid="ignore")  # non-finite values reach SphericalPoly, which rejects them
+def _chain_pass(nodes: NodeSet, f: np.ndarray) -> tuple[_Chain, float, float, np.ndarray | None, float]:
+    """Build the chain and solve the columns of f with the +-1 probe columns.
+
+    Returns the chain, pivot_min, log|det|, the unrefined coefficients of
+    f's columns and kappa. An exactly singular block gives coefficients
+    None, log|det| -inf and kappa inf.
+    """
+    chain = _Chain(nodes)
+    pivot_min, log_abs_det = chain.pivots()
+    probes = np.random.default_rng(_PROBE_SEED).choice((-1.0, 1.0), size=(chain.size, _PROBES))
+    try:
+        coef = chain.solve(np.concatenate([f, probes], axis=1))
+    except np.linalg.LinAlgError:
+        return chain, pivot_min, -math.inf, None, math.inf
+    cond = chain.norm_inf * float(np.max(np.abs(coef[..., f.shape[1] :])))
+    return chain, pivot_min, log_abs_det, coef[..., : f.shape[1]], max(cond, 1.0) if math.isfinite(cond) else math.inf
 
 
 def solve(problem: InterpolationProblem) -> SolveReport:
@@ -315,17 +317,14 @@ def solve(problem: InterpolationProblem) -> SolveReport:
     ``build_nodeset`` this signals either invalid input or a conditioning
     collapse (see ``pivot_min``).
     """
-    chain = _Chain(problem.nodes)
-    pivot_min, _ = chain.pivots()
     f = np.array(problem.data)[:, None]
-    try:
-        coef, cond = _first_pass(chain, f)
-    except np.linalg.LinAlgError:
+    chain, pivot_min, _, coef, cond = _chain_pass(problem.nodes, f)
+    if coef is None:
         raise PoisednessError(
             f"collocation matrix is exactly singular (smallest block singular value {pivot_min:.3e})",
             pivot_min=pivot_min,
-            condition_estimate=math.inf,
-        ) from None
+            condition_estimate=cond,
+        )
     bound = 1.0 / (10.0 * chain.size * _UNIT_ROUNDOFF)
     if not cond < bound:
         raise PoisednessError(
@@ -334,11 +333,10 @@ def solve(problem: InterpolationProblem) -> SolveReport:
             pivot_min=pivot_min,
             condition_estimate=cond,
         )
-    coef = _refine(chain, f, coef)
-    residual = float(np.max(np.abs(chain.evaluate(coef) - f)))
+    coef, residual = chain.refine(f, coef)
     return SolveReport(
         solution=SphericalPoly(coef[..., 0]),
-        residual_inf=residual,
+        residual_inf=float(residual[0]),
         condition_estimate=cond,
         pivot_min=pivot_min,
     )
@@ -352,24 +350,17 @@ def poisedness_certificate(nodes: NodeSet, trials: int = 8, seed: int = 0) -> Ce
     """
     if trials < 1:
         raise InputError(f"trials must be a positive integer, got {trials}")
-    chain = _Chain(nodes)
-    pivot_min, log_abs_det = chain.pivots()
-    f = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(trials, chain.size)).T
-    residuals = [math.inf] * trials
-    cond = math.inf
-    try:
-        coef, cond = _first_pass(chain, f)
-        coef = _refine(chain, f, coef)
-    except np.linalg.LinAlgError:
-        log_abs_det = -math.inf
-    else:
-        res = np.max(np.abs(chain.evaluate(coef) - f), axis=0) / np.maximum(1.0, np.max(np.abs(f), axis=0))
-        residuals = [float(r) if math.isfinite(r) else math.inf for r in res]
+    f = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(trials, nodes.count())).T
+    chain, pivot_min, log_abs_det, coef, cond = _chain_pass(nodes, f)
+    residuals = (math.inf,) * trials
+    if coef is not None:
+        res = chain.refine(f, coef)[1] / np.maximum(1.0, np.max(np.abs(f), axis=0))
+        residuals = tuple(float(r) if math.isfinite(r) else math.inf for r in res)
     passed = math.isfinite(log_abs_det) and all(r <= RESIDUAL_TOL for r in residuals)
     return CertificateReport(
         passed=passed,
         log_abs_det=log_abs_det,
         pivot_min=pivot_min,
         condition_estimate=cond,
-        residuals=tuple(residuals),
+        residuals=residuals,
     )

@@ -184,20 +184,22 @@ def test_interpolate_nan_data_is_bad_input(tmp_path: Path):
     assert "finite" in res.stderr and "Traceback" not in res.stderr
 
 
-def test_interpolate_data_that_overflows_the_solve_is_bad_input(tmp_path: Path):
+def test_interpolate_data_that_overflows_the_solve_is_bad_input(tmp_path: Path, capsys):
     # finite data near the float64 limit overflow inside the solve; the
-    # non-finite coefficients must stop the command before it writes a file
+    # non-finite coefficients must stop the command before it writes a file.
+    # In process, so a numpy RuntimeWarning reaching stderr fails the test.
+    from sphinterp import cli
+
     nodes_path = tmp_path / "nodes.json"
-    assert run_cli("gen-nodes", "--n", "5", "--plan", "3", "--out", str(nodes_path)).returncode == 0
+    assert cli.main(["gen-nodes", "--n", "5", "--plan", "3", "--out", str(nodes_path)]) == 0
     points = NodeSet.from_json_dict(json.loads(nodes_path.read_text())).points()
     data = tmp_path / "big.csv"
     data.write_text("".join(f"{i},{1.7e308 * math.cos(th)!r}\n" for i, (th, _) in enumerate(points.tolist())))
     outs = [tmp_path / "c.json", tmp_path / "r.json"]
-    res = run_cli(
-        "interpolate", "--nodes", str(nodes_path), "--data", str(data), "--out-coeffs", str(outs[0]), "--out-report", str(outs[1])
-    )
-    assert res.returncode == 2
-    assert "must be finite, got nan" in res.stderr and "Traceback" not in res.stderr
+    capsys.readouterr()
+    argv = ["interpolate", "--nodes", str(nodes_path), "--data", str(data), "--out-coeffs", str(outs[0]), "--out-report", str(outs[1])]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == "error: coefficient of t**0 in a_0 must be finite, got nan\n"
     assert not any(path.exists() for path in outs)
 
 
@@ -532,6 +534,26 @@ def test_non_integer_seed_env_is_bad_input():
     assert res.returncode == 2
     assert "SPHINTERP_SEED" in res.stderr
     assert "Traceback" not in res.stderr
+
+
+@pytest.mark.parametrize(
+    "args, env_seed",
+    [(("gen-nodes", "--n", "3", "--plan", "2"), "abc"), (("cubature", "--m", "2"), "-4")],
+    ids=["gen-nodes", "cubature"],
+)
+def test_seed_env_does_not_reach_commands_without_a_seed(tmp_path: Path, args, env_seed):
+    runs = []
+    for name, seed in (("plain", None), ("seeded", env_seed)):
+        env = {key: value for key, value in os.environ.items() if key != "SPHINTERP_SEED"}
+        if seed is not None:
+            env["SPHINTERP_SEED"] = seed
+        cwd = tmp_path / name
+        cwd.mkdir()
+        res = run_cli(*args, env=env, cwd=cwd)
+        assert res.returncode == 0, res.stderr
+        runs.append((res.stdout, res.stderr, {path.name: path.read_bytes() for path in sorted(cwd.iterdir())}))
+    assert runs[0] == runs[1]
+    assert runs[0][2]  # the command wrote its default output files
 
 
 @pytest.mark.parametrize(

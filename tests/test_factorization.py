@@ -431,6 +431,44 @@ def test_factor_step_input_cannot_carry_nan():
         factor_step(SphericalPoly(coef), [0.5, 0.8, PI - 0.8, PI - 0.5])
 
 
+def test_factor_step_rejects_input_that_overflows():
+    # coefficients near the float64 limit overflow on the reference grid:
+    # bad input, not a failed annihilation inside the step
+    coef = np.zeros((4, 4, 2))
+    coef[:, 0, 0] = 1e308
+    with pytest.raises(InputError, match="not finite on the reference grid: max \\|T\\| = inf"):
+        factor_step(SphericalPoly(coef), [0.5, 0.8, PI - 0.8, PI - 0.5])
+
+
+def _forged(values, bands=np.zeros((4, 4, 2))):
+    """A duck-typed degree-3 T whose eval is ``values`` and whose coefficients are ``bands``."""
+
+    class Forged:
+        degree = 3
+        coef = bands
+        eval = staticmethod(values)
+
+        def coeff_scale(self):
+            return float(np.max(np.abs(bands)))
+
+    return Forged()
+
+
+@pytest.mark.parametrize(
+    "forged, error, match",
+    [
+        (_forged(lambda th, ph: math.nan * th * ph), InputError, "not finite on the reference grid"),
+        # finite on the reference grid (2-D), NaN at the grid nodes (1-D)
+        (_forged(lambda th, ph: np.full(np.shape(th), math.nan if np.ndim(th) == 1 else 0.0)), InputError, "does not vanish"),
+        (_forged(lambda th, ph: 0.0 * th * ph, np.full((4, 4, 2), math.nan)), InternalInconsistencyError, "should annihilate"),
+    ],
+    ids=["nan-everywhere", "nan-at-nodes", "nan-bands"],
+)
+def test_factor_step_checks_fail_on_nan(forged, error, match):
+    with pytest.raises(error, match=match):
+        factor_step(forged, [0.5, 0.8, PI - 0.8, PI - 0.5])
+
+
 def test_factor_step_full_degree_returns_zero():
     out = factor_step(zero_spherical(3), [0.5, 0.8, PI - 0.8, PI - 0.5])
     assert out.degree == 0

@@ -1,8 +1,9 @@
 """Every module under src/ and tests/ uses each name it imports or assigns.
 
 The repository has no linter configured, so these ``ast`` scans stand in
-for unused-import and unused-local checks. Package ``__init__`` files are
-exempt from the import scan: their imports are the public re-exports.
+for unused-import, unused-local and unused-private-name checks. Package
+``__init__`` files are exempt from the import scan: their imports are the
+public re-exports.
 """
 
 import ast
@@ -100,3 +101,40 @@ def test_scan_flags_an_unused_local():
 @pytest.mark.parametrize("module", MODULES)
 def test_no_unused_locals(module):
     assert unused_locals((ROOT / module).read_text(encoding="utf-8")) == []
+
+
+def unused_private_names(source: str) -> list[str]:
+    """Module-level ``_function``, ``_Class`` and ``_CONSTANT`` names that
+    nothing in the module reads (a helper a merge left behind)."""
+    tree = ast.parse(source)
+    defined = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defined.update(target.id for target in targets if isinstance(target, ast.Name))
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return sorted(name for name in defined - read if name.startswith("_") and not name.startswith("__"))
+
+
+def test_scan_flags_an_unused_private_name():
+    source = (
+        "__all__ = []\n"
+        "_USED = 1\n"
+        "_UNUSED: int = 2\n"
+        "def _helper():\n"
+        "    return _USED\n"
+        "def _orphan():\n"
+        "    pass\n"
+        "class _Left:\n"
+        "    pass\n"
+        "def public():\n"
+        "    return _helper()\n"
+    )
+    assert unused_private_names(source) == ["_Left", "_UNUSED", "_orphan"]
+
+
+@pytest.mark.parametrize("module", sorted(path.relative_to(ROOT).as_posix() for path in (ROOT / "src").rglob("*.py")))
+def test_no_unused_private_names(module):
+    assert unused_private_names((ROOT / module).read_text(encoding="utf-8")) == []

@@ -336,6 +336,23 @@ def test_solve_and_certificate_report_the_same_pivot_min(lambdas):
     assert report.pivot_min == poisedness_certificate(nodes, trials=1, seed=0).pivot_min
 
 
+@pytest.mark.parametrize(
+    "plan, latitudes",
+    [
+        (PartitionPlan(n=3, lambdas=(2,)), [[PI / 6, PI / 6 * (1.0 + 4e-16)]]),  # near-coalescing
+        (PartitionPlan(n=31, lambdas=(16,)), None),  # single group, default latitudes
+    ],
+    ids=["n3-near-coalescing", "n31-single-group"],
+)
+def test_raising_solve_reports_the_certificate_numbers(plan, latitudes):
+    nodes = build_nodeset(plan, latitudes or default_latitudes(plan))
+    with pytest.raises(PoisednessError) as exc:
+        solve(InterpolationProblem(nodes=nodes, data=(1.0,) * nodes.count()))
+    cert = poisedness_certificate(nodes, trials=1, seed=0)
+    assert exc.value.condition_estimate == cert.condition_estimate
+    assert exc.value.pivot_min == cert.pivot_min
+
+
 @pytest.mark.parametrize("family", ["default", "seeded"])
 @pytest.mark.parametrize("n", [1, 3, 5, 7, 9])
 def test_condition_estimate_brackets_infinity_norm_condition(n, family):
