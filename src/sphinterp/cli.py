@@ -359,7 +359,7 @@ def main(argv=None) -> int:
     except WeightSumError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (InputError, OSError, json.JSONDecodeError) as exc:
+    except (InputError, OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

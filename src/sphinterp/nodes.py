@@ -121,9 +121,6 @@ class PartitionPlan:
                 f"plan parts must sum to (n + 1) / 2 = {(self.n + 1) // 2}, "
                 f"got {sum(self.lambdas)}"
             )
-        degs = self.degrees()
-        if any(d < 0 for d in degs[:-1]) or degs[-1] != -1:
-            raise InputError("degree sequence must stay nonnegative until the last step")
 
     @property
     def sigma(self) -> int:

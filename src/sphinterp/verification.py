@@ -32,6 +32,7 @@ from .factorization import (
     latitude_vanishing_residuals,
     reduction_coefficients,
     reduction_system_det,
+    scaled_sigma_min,
 )
 from .interpolation import (
     RESIDUAL_TOL,
@@ -275,8 +276,7 @@ def factorization_suite(mmax: int = 5, seeds: int = 20, seed: int = 0) -> list[d
                 thetas = _symmetric_thetas(lam, rng)
                 grid = np.column_stack([np.repeat(thetas, 2 * m), azimuth_grid(m, mirror_alphas(2 * lam)).ravel()])
                 mat = assemble_at_points(s_deg, grid)
-                sv = np.linalg.svd(mat, compute_uv=False)
-                ratio = float(sv[-1] / sv[0])
+                ratio = float(scaled_sigma_min(mat))
                 rows.append(_row("factorization", case, "grid_sigma_min", ratio, SIGMA_TOL, ratio > SIGMA_TOL))
                 out = factor_step(zero_spherical(s_deg), thetas)
                 ok = out.degree == 0 and out.coeff_scale() == 0.0

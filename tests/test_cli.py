@@ -776,6 +776,29 @@ def test_inputs_with_utf8_bom_read_like_plain_ones(tmp_path: Path, case):
     assert runs[0][1] and runs[0] == runs[1]
 
 
+@pytest.mark.parametrize("case", ["interpolate-nodes", "interpolate-data", "gen-nodes-lat-file", "cubature-lat-file"])
+def test_input_that_is_not_utf8_is_bad_input(tmp_path: Path, case):
+    nodes = tmp_path / "nodes.json"
+    assert run_cli("gen-nodes", "--n", "3", "--plan", "1,1", "--out", str(nodes)).returncode == 0
+    bad = tmp_path / "utf16.txt"
+    bad.write_bytes(codecs.BOM_UTF16_LE + "[0.5]".encode("utf-16-le"))
+    outs = [tmp_path / "out1.json", tmp_path / "out2.json"]
+    interpolate = ["interpolate", "--out-coeffs", str(outs[0]), "--out-report", str(outs[1])]
+    args = {
+        "interpolate-nodes": [*interpolate, "--nodes", str(bad), "--function", "one"],
+        "interpolate-data": [*interpolate, "--nodes", str(nodes), "--data", str(bad)],
+        "gen-nodes-lat-file": ["gen-nodes", "--n", "3", "--plan", "2", "--latitudes", "file", "--lat-file", str(bad), "--out", str(outs[0])],
+        "cubature-lat-file": [
+            "cubature", "--m", "2", "--latitudes", "file", "--lat-file", str(bad),
+            "--out-rule", str(outs[0]), "--out-cert", str(outs[1]),
+        ],
+    }[case]
+    res = run_cli(*args)
+    assert res.returncode == 2
+    assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1 and res.stderr.endswith("\n")
+    assert not any(out.exists() for out in outs)
+
+
 def test_verify_poisedness_records_a_raising_solve_as_failure(tmp_path: Path, monkeypatch):
     from sphinterp import PoisednessError, cli, verification
 

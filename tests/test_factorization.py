@@ -13,6 +13,7 @@ from sphinterp import (
     ChebyshevTestCase,
     InputError,
     InternalInconsistencyError,
+    NodeSet,
     PartitionPlan,
     SphericalPoly,
     build_nodeset,
@@ -24,6 +25,8 @@ from sphinterp import (
     factor_chain,
     factor_step,
     latitude_vanishing_residuals,
+    mirror,
+    mirror_alphas,
     mixed_parity_matrix,
     multiply_linear_z,
     poisedness_certificate,
@@ -33,7 +36,7 @@ from sphinterp import (
     seeded_latitudes,
     zero_spherical,
 )
-from sphinterp.factorization import DIVISION_TOL, _divide_band
+from sphinterp.factorization import DIVISION_TOL, _divide_band, scaled_sigma_min
 
 PI = math.pi
 
@@ -565,7 +568,6 @@ def test_chain_certificate_reports_cross_group_separation():
     nodes = build_nodeset(plan, default_latitudes(plan))
     cert = chain_kernel_certificate(nodes)
     assert 0.0 < cert.cross_group_separation < 2.0
-    assert len(cert.steps) == 2
 
 
 def _separation_by_loops(nodes) -> float:
@@ -588,3 +590,69 @@ def test_chain_certificate_separation_matches_the_pairwise_loops(n):
             got = chain_kernel_certificate(nodes).cross_group_separation
             assert got == _separation_by_loops(nodes)
             assert type(got) is float
+
+
+def test_sigma_ratio_reads_each_matrix_of_a_stack():
+    stack = np.stack([np.zeros((3, 2)), np.diag([4.0, 1.0, 0.0])[:, :2], np.array([[2.0, 0.0], [0.0, -8.0], [0.0, 0.0]])])
+    assert scaled_sigma_min(stack).tolist() == [0.0, 0.25, 0.25]
+    assert scaled_sigma_min(np.eye(2)).shape == ()
+
+
+def _min_scaled_sigma_by_loops(nodes) -> float:
+    """Smallest sigma_min / sigma_max over every step matrix, one SVD per matrix."""
+
+    def scaled(mat):
+        sv = np.linalg.svd(mat, compute_uv=False)
+        return 0.0 if sv[0] == 0.0 else float(sv[-1] / sv[0])
+
+    sigmas = []
+    cosines = [math.cos(th) for th in nodes.theta.tolist()]
+    for rings, lam in zip(nodes.plan.ring_slices(), nodes.plan.lambdas):
+        t_all = cosines[rings]
+        t_north = [abs(t) for t in t_all[:lam]]
+        if len(set(t_north)) != len(t_north):
+            sigmas.append(0.0)
+            continue
+        sigmas.append(scaled(np.vander(np.array(t_all), increasing=True)))
+        sigmas.append(scaled(np.vander(np.array(t_north), increasing=True)))
+        sigmas += [scaled(mixed_parity_matrix(k, t_north)) for k in range(1, lam)]
+    return min(sigmas)
+
+
+def _assert_certificate_matches_the_loops(nodes):
+    cert = chain_kernel_certificate(nodes)
+    expected = _min_scaled_sigma_by_loops(nodes)
+    assert cert.min_scaled_sigma == expected and type(cert.min_scaled_sigma) is float
+    assert cert.passed == (expected > 1e-12 and _separation_by_loops(nodes) > 0.0)
+
+
+@pytest.mark.parametrize("n", [1, 3, 5, 7, 9])
+def test_chain_certificate_matches_one_svd_per_matrix(n):
+    for plan in enumerate_partitions(n):
+        for lats in (default_latitudes(plan), seeded_latitudes(plan, n)):
+            _assert_certificate_matches_the_loops(build_nodeset(plan, lats))
+
+
+@pytest.mark.parametrize("n", [21, 31, 41])
+@pytest.mark.parametrize("shape", ["single", "all-ones", "two-groups"])
+def test_chain_certificate_matches_one_svd_per_matrix_at_large_n(n, shape):
+    half = (n + 1) // 2
+    lambdas = {"single": (half,), "all-ones": (1,) * half, "two-groups": (half // 2, half - half // 2)}[shape]
+    plan = PartitionPlan(n=n, lambdas=lambdas)
+    _assert_certificate_matches_the_loops(build_nodeset(plan, default_latitudes(plan)))
+
+
+@pytest.mark.parametrize("lambdas", [(2,), (2, 1), (1, 2)], ids=["2", "2,1", "1,2"])
+def test_chain_certificate_fails_on_opposite_northern_cosines(lambdas):
+    # theta and pi - theta both among the two northern rings: their cosines are
+    # exact negatives, while the southern rings sit 5e-15 off the exact mirrors
+    # (inside TOL_MIRROR), so every cosine of the node set stays distinct
+    opposite = [0.2, PI - 0.2, 0.2 + 5e-15, PI - 0.2 - 5e-15]
+    assert math.cos(opposite[1]) == -math.cos(opposite[0])
+    groups = {2: (opposite, mirror_alphas(4)), 1: (mirror([PI / 3]), mirror_alphas(2))}
+    theta = np.concatenate([groups[lam][0] for lam in lambdas])
+    alpha = np.concatenate([groups[lam][1] for lam in lambdas])
+    nodes = NodeSet(plan=PartitionPlan(n=2 * sum(lambdas) - 1, lambdas=lambdas), theta=theta, alpha=alpha)
+    cert = chain_kernel_certificate(nodes)
+    assert not cert.passed
+    assert cert.min_scaled_sigma == 0.0

@@ -3,7 +3,9 @@
 The repository has no linter configured, so these ``ast`` scans stand in
 for unused-import, unused-local and unused-private-name checks. Package
 ``__init__`` files are exempt from the import scan: their imports are the
-public re-exports.
+public re-exports. A fourth scan keeps a helper that several modules
+share public: no module under src/ imports an underscore name from a
+sibling module.
 """
 
 import ast
@@ -18,6 +20,7 @@ MODULES = sorted(
     for path in (ROOT / folder).rglob("*.py")
     if path.name != "__init__.py"
 )
+SRC_MODULES = sorted(path.relative_to(ROOT).as_posix() for path in (ROOT / "src").rglob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -135,6 +138,34 @@ def test_scan_flags_an_unused_private_name():
     assert unused_private_names(source) == ["_Left", "_UNUSED", "_orphan"]
 
 
-@pytest.mark.parametrize("module", sorted(path.relative_to(ROOT).as_posix() for path in (ROOT / "src").rglob("*.py")))
+@pytest.mark.parametrize("module", SRC_MODULES)
 def test_no_unused_private_names(module):
     assert unused_private_names((ROOT / module).read_text(encoding="utf-8")) == []
+
+
+def private_sibling_imports(source: str) -> list[str]:
+    """Underscore names that relative or ``sphinterp`` imports bring in."""
+    return sorted(
+        alias.name
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom) and (node.level > 0 or (node.module or "").split(".")[0] == "sphinterp")
+        for alias in node.names
+        if alias.name.startswith("_") and not alias.name.startswith("__")
+    )
+
+
+def test_scan_flags_a_private_sibling_import():
+    source = (
+        "from __future__ import annotations\n"
+        "from os.path import _joinrealpath\n"
+        "from .nodes import mirror, _PI as pi\n"
+        "from . import _cache\n"
+        "from sphinterp.spherical import _helper\n"
+        "from .errors import __doc__\n"
+    )
+    assert private_sibling_imports(source) == ["_PI", "_cache", "_helper"]
+
+
+@pytest.mark.parametrize("module", SRC_MODULES)
+def test_no_private_sibling_imports(module):
+    assert private_sibling_imports((ROOT / module).read_text(encoding="utf-8")) == []

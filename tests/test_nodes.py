@@ -95,6 +95,14 @@ def test_plan_degree_sequence():
     assert plan.azimuth_half_counts() == (7, 4, 1)
 
 
+@pytest.mark.parametrize("n", range(1, 16, 2))
+def test_every_plan_has_positive_degrees_until_the_last_step(n):
+    for plan in enumerate_partitions(n):
+        degs = plan.degrees()
+        assert degs[-1] == -1 and all(d >= 1 for d in degs[:-1])
+        assert all(s >= 1 for s in plan.azimuth_half_counts())
+
+
 def test_plan_summaries_match_catalog():
     assert PartitionPlan(n=3, lambdas=(2,)).summary() == "4 latitudes with 4 points"
     assert (
