@@ -32,7 +32,7 @@ from .factorization import (
     factor_chain,
     factor_step,
     latitude_vanishing_residuals,
-    mixed_parity_matrix,
+    mixed_parity_matrices,
     reduction_coefficients,
     reduction_system_det,
 )

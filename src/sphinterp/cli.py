@@ -252,6 +252,8 @@ def cmd_verify(args) -> int:
         raise InputError(f"unknown suite {args.suite!r}; choose from {sorted(_SUITES)}")
     if args.m < 1 or args.trials < 1:
         raise InputError("--m and --trials must be positive integers")
+    if args.suite == "chebyshev" and args.rmax < 2:  # the sweep starts at r = 2
+        raise InputError(f"--rmax must be at least 2, got {args.rmax}")
     rows = sorted(_SUITES[args.suite](args), key=lambda r: (r["case"], r["metric"]))
     checked = [r for r in rows if r["status"] != "info"]
     if not checked:

@@ -21,7 +21,9 @@ Three layers live here:
   ``chain_kernel_certificate`` certifies the kernel-triviality consequence
   through the small per-band systems, in one batched pass per group,
   instead of the big collocation determinant; it reports ``passed``,
-  ``min_scaled_sigma`` and ``cross_group_separation``.
+  ``min_scaled_sigma`` and ``cross_group_separation``. A group's paired
+  even/odd systems come as one stack from ``mixed_parity_matrices``, which
+  reads every entry off one table of powers per point.
 """
 
 from __future__ import annotations
@@ -195,35 +197,36 @@ def latitude_vanishing_residuals(
 # ---------------------------------------------------------------------------
 
 
-def mixed_parity_matrix(k: int, points: Sequence[float]) -> np.ndarray:
-    """Square collocation matrix of the paired even/odd system at m = len(points).
+def mixed_parity_matrices(points: Sequence[float]) -> np.ndarray:
+    """Square collocation matrices of the paired even/odd systems, k = 1..m.
 
-    Unknowns are the 2m - k coefficients of p (degree 2m - k - 1) followed
-    by the k coefficients of q (degree k - 1); rows are, for each point t,
+    For m = len(points) and each k, the unknowns are the 2m - k
+    coefficients of p (degree 2m - k - 1) followed by the k coefficients of
+    q (degree k - 1); rows are, for each point t,
 
         p_even(t) + q_odd(t) (1 - t**2)**(m - k) = 0
         p_odd(t)  + q_even(t) (1 - t**2)**(m - k) = 0.
 
-    The matrix is 2m square; a nonzero smallest singular value certifies
-    that only p = q = 0 satisfies both rows at all m points.
+    Returns the (m, 2m, 2m) stack, matrix k - 1 for k; a nonzero smallest
+    singular value certifies that only p = q = 0 satisfies both rows at all
+    m points. Every entry is a Python-float t**j, times (1 - t**2)**(m - k)
+    in the q columns, read from one table per point.
     """
     pts = [float(t) for t in points]
     m = len(pts)
-    if not 1 <= k <= m:
-        raise InputError(f"need 1 <= k <= m, got k={k}, m={m}")
     if any(not 0.0 < t < 1.0 for t in pts):
         raise InputError("points must lie in the open interval (0, 1)")
     if len(set(pts)) != len(pts):
         raise InputError("points must be pairwise distinct")
-    n_p = 2 * m - k
-    mat = np.zeros((2 * m, 2 * m))
-    for i, t in enumerate(pts):
-        w = (1.0 - t * t) ** (m - k)
-        for j in range(n_p):
-            mat[i if j % 2 == 0 else m + i, j] = t**j
-        for j in range(k):
-            mat[m + i if j % 2 == 0 else i, n_p + j] = t**j * w
-    return mat
+    powers = np.array([[t**j for j in range(2 * m)] for t in pts])
+    weights = np.array([[(1.0 - t * t) ** e for e in range(m)] for t in pts])
+    mats = np.zeros((m, 2 * m, 2 * m))
+    for k, mat in enumerate(mats, start=1):
+        n_p = 2 * m - k
+        q = powers[:, :k] * weights[:, m - k, None]
+        mat[:m, :n_p:2], mat[m:, 1:n_p:2] = powers[:, :n_p:2], powers[:, 1:n_p:2]  # p_even, p_odd
+        mat[m:, n_p::2], mat[:m, n_p + 1 :: 2] = q[:, ::2], q[:, 1::2]  # q_even, q_odd
+    return mats
 
 
 # ---------------------------------------------------------------------------
@@ -378,9 +381,11 @@ def chain_kernel_certificate(nodes: NodeSet) -> ChainKernelCertificate:
         if len(set(t_north)) < lam:  # theta and pi - theta both in the north: (b) is singular
             min_sigma = 0.0
             continue
-        square = [np.vander(t_all, increasing=True)] + [mixed_parity_matrix(k, t_north) for k in range(1, lam)]
+        square = np.vander(t_all, increasing=True)[None]
+        if lam > 1:  # k = 1..lam - 1; the stack is empty at lam = 1
+            square = np.concatenate([square, mixed_parity_matrices(t_north)[:-1]])
         half = np.vander(t_north, increasing=True)
-        min_sigma = min(min_sigma, float(scaled_sigma_min(np.stack(square)).min()), float(scaled_sigma_min(half)))
+        min_sigma = min(min_sigma, float(scaled_sigma_min(square).min()), float(scaled_sigma_min(half)))
     # smallest |cos theta_i - cos theta_j| over rings i, j of different groups
     t = np.array(cosines)
     group = np.repeat(np.arange(nodes.plan.sigma), 2 * np.array(nodes.plan.lambdas))

@@ -17,7 +17,9 @@ vanishes on group g, so the group's values determine the V_g part alone:
 * the monomial bands are rebuilt as a_k = r_k + Pi_g q_k.
 
 ``solve`` and ``poisedness_certificate`` read one pass, which solves several
-right-hand sides as columns and then refines them once. Reported numbers:
+right-hand sides as columns and then refines them once. The chain and its
+block SVDs are built once per node set, shared by both calls, and freed
+with the node set. Reported numbers:
 
 * ``pivot_min``: the smallest singular value among the diagonal blocks of
   that factorization, the frequency blocks with the rows of each ring
@@ -35,6 +37,7 @@ right-hand sides as columns and then refines them once. Reported numbers:
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -126,7 +129,9 @@ def _class_blocks(t, sn, alpha, s: int):
     k = np.where(low, p, m2 - p)
     j = np.where(low, u, u - w_low)
     fold = np.where(low, 1.0, -1.0)[:, None, :]
-    mag = math.sqrt(m2 / 2.0) * t[None, :, None] ** j[:, None, :] * sn[None, :, None] ** k[:, None, :]
+    t_pow = t[:, None] ** np.arange(width)  # gathers from these tables equal broadcast powers bit for bit
+    s_pow = sn[:, None] ** np.arange(d + 1)  # k <= d: band 2s - p only fills slots when p > s - lam
+    mag = math.sqrt(m2 / 2.0) * t_pow[:, j].swapaxes(0, 1) * s_pow[:, k].swapaxes(0, 1)
     phase = k[:, None, :] * beta[None, :, None]
     c = mag * np.cos(phase)
     sp = mag * np.sin(phase)
@@ -135,10 +140,10 @@ def _class_blocks(t, sn, alpha, s: int):
 
     root_m = math.sqrt(m2)
     v = np.arange(lam)
-    nyquist = root_m * t[:, None] ** v * sn[:, None] ** s
+    nyquist = root_m * t_pow[:, :lam] * sn[:, None] ** s  # a scalar exponent: numpy squares at s = 2
     end = np.stack(
         [
-            root_m * t[:, None] ** np.arange(width),
+            root_m * t_pow,
             np.concatenate(
                 [nyquist * np.cos(s * beta)[:, None], nyquist * np.sin(s * beta)[:, None]], axis=1
             ),
@@ -170,7 +175,7 @@ class _Group:
 
 
 class _Chain:
-    """Tables of the chain solver for one node set, built once per call.
+    """Tables of the chain solver for one node set, built once per node set.
 
     Coefficients live in arrays coef[j, k, kind, column], one
     ``SphericalPoly.coef`` per column.
@@ -289,16 +294,24 @@ class _Chain:
         return coef, np.max(np.abs(self.values(coef) - f), axis=0)
 
 
+# NodeSet -> (chain, pivot_min, log|det|); NodeSet hashes by identity and
+# the chain holds no reference to it, so an entry dies with its node set
+_CHAINS = weakref.WeakKeyDictionary()
+
+
 @np.errstate(over="ignore", invalid="ignore")  # non-finite values reach SphericalPoly, which rejects them
 def _chain_pass(nodes: NodeSet, f: np.ndarray) -> tuple[_Chain, float, float, np.ndarray | None, float]:
-    """Build the chain and solve the columns of f with the +-1 probe columns.
+    """Solve the columns of f with the +-1 probe columns on the node set's chain.
 
-    Returns the chain, pivot_min, log|det|, the unrefined coefficients of
-    f's columns and kappa. An exactly singular block gives coefficients
-    None, log|det| -inf and kappa inf.
+    The chain and its block SVDs are built once per node set. Returns the
+    chain, pivot_min, log|det|, the unrefined coefficients of f's columns
+    and kappa. An exactly singular block gives coefficients None, log|det|
+    -inf and kappa inf.
     """
-    chain = _Chain(nodes)
-    pivot_min, log_abs_det = chain.pivots()
+    if nodes not in _CHAINS:
+        chain = _Chain(nodes)
+        _CHAINS[nodes] = (chain, *chain.pivots())
+    chain, pivot_min, log_abs_det = _CHAINS[nodes]
     probes = np.random.default_rng(_PROBE_SEED).choice((-1.0, 1.0), size=(chain.size, _PROBES))
     try:
         coef = chain.solve(np.concatenate([f, probes], axis=1))
@@ -346,10 +359,12 @@ def poisedness_certificate(nodes: NodeSet, trials: int = 8, seed: int = 0) -> Ce
     """Numerical poisedness check; failure is an outcome, not an exception.
 
     PASS requires a finite log|det| and relative residuals at most
-    ``RESIDUAL_TOL`` over ``trials`` (at least one) random right-hand sides.
+    ``RESIDUAL_TOL`` over ``trials`` (at least one) random right-hand sides,
+    drawn from the nonnegative integer ``seed``.
     """
-    if trials < 1:
-        raise InputError(f"trials must be a positive integer, got {trials}")
+    for name, value, low, kind in (("trials", trials, 1, "positive"), ("seed", seed, 0, "nonnegative")):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
+            raise InputError(f"{name} must be a {kind} integer, got {value!r}")
     f = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(trials, nodes.count())).T
     chain, pivot_min, log_abs_det, coef, cond = _chain_pass(nodes, f)
     residuals = (math.inf,) * trials

@@ -5,9 +5,10 @@ determinants are expanded by cofactors, interpolation solves run dense LU
 on the assembled collocation matrix (in float64, or in extended precision
 as a reference for the float64 solvers), derivatives come from exact
 rational finite differences, cubature weights come from exact rational
-Lagrange cardinals, cubature exactness errors come from the node weights
-applied to the dense collocation matrix, and points come from a jittered
-grid with a guaranteed separation.
+Lagrange cardinals, the mixed parity systems are filled entry by entry,
+cubature exactness errors come from the node weights applied to the dense
+collocation matrix, and points come from a jittered grid with a guaranteed
+separation.
 """
 
 from __future__ import annotations
@@ -97,6 +98,27 @@ def dense_exactness_errors(rule) -> np.ndarray:
     rule_vals = node_w @ assemble_at_points(n, [(th, ph) for th, ph, _ in nodes])
     exact = [analytic_basis_integral(k, j) for k, _kind, j in basis_index_order(n)]
     return rule_vals - np.array(exact)
+
+
+def mixed_parity_matrix(k: int, points) -> np.ndarray:
+    """One paired even/odd system, entry by entry: the reference for
+    ``mixed_parity_matrices(points)[k - 1]``.
+
+    Unknowns are the 2m - k coefficients of p, then the k of q; for each
+    point t the rows are p_even(t) + q_odd(t) (1 - t**2)**(m - k) and
+    p_odd(t) + q_even(t) (1 - t**2)**(m - k), with Python-float powers.
+    """
+    pts = [float(t) for t in points]
+    m = len(pts)
+    n_p = 2 * m - k
+    mat = np.zeros((2 * m, 2 * m))
+    for i, t in enumerate(pts):
+        w = (1.0 - t * t) ** (m - k)
+        for j in range(n_p):
+            mat[i if j % 2 == 0 else m + i, j] = t**j
+        for j in range(k):
+            mat[m + i if j % 2 == 0 else i, n_p + j] = t**j * w
+    return mat
 
 
 def jittered_points(count: int, rng: np.random.Generator) -> list[float]:

@@ -589,6 +589,15 @@ def test_verify_rejects_nonpositive_m_and_trials(args):
     assert "Traceback" not in res.stderr
 
 
+@pytest.mark.parametrize("rmax", ["1", "0", "-3"])
+def test_verify_rejects_chebyshev_rmax_below_two(rmax):
+    # the sweep runs r = 2..rmax, so a smaller cap would check only the fixed table rows
+    res = run_cli("verify", "--suite", "chebyshev", "--rmax", rmax)
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert res.stderr == f"error: --rmax must be at least 2, got {rmax}\n"
+
+
 def test_verify_with_no_checked_row_is_bad_input():
     res = run_cli("verify", "--suite", "dimension", "--smax", "0")
     assert res.returncode == 2

@@ -8,7 +8,7 @@ import numpy.polynomial.polynomial as npoly
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from helpers import det_cofactor, halfpower_derivative_poly_value, jittered_points
+from helpers import det_cofactor, halfpower_derivative_poly_value, jittered_points, mixed_parity_matrix
 from sphinterp import (
     ChebyshevTestCase,
     InputError,
@@ -27,7 +27,7 @@ from sphinterp import (
     latitude_vanishing_residuals,
     mirror,
     mirror_alphas,
-    mixed_parity_matrix,
+    mixed_parity_matrices,
     multiply_linear_z,
     poisedness_certificate,
     random_spherical,
@@ -232,7 +232,7 @@ def test_mixed_parity_random_pairs_fail():
         k = int(rng.integers(1, m + 1))
         vec = rng.standard_normal(2 * m)  # p (2m - k coefficients), then q (k)
         pts = jittered_points(m, rng)
-        resid = mixed_parity_matrix(k, pts) @ vec
+        resid = mixed_parity_matrices(pts)[k - 1] @ vec
         if np.max(np.abs(resid)) > 1e-11 * max(1.0, np.max(np.abs(vec))):
             count += 1
     assert count == 200
@@ -245,7 +245,7 @@ def test_mixed_parity_residuals_match_matrix():
     p = rng.standard_normal(2 * m - k)
     q = rng.standard_normal(k)
     pts = jittered_points(m, rng)
-    mat = mixed_parity_matrix(k, pts)
+    mat = mixed_parity_matrices(pts)[k - 1]
     resid = mat @ np.concatenate([p, q])
 
     def part(c, parity):
@@ -267,9 +267,27 @@ def test_mixed_parity_kernel_trivial_sweep(m):
     for k in range(1, m + 1):
         for _ in range(25):
             pts = jittered_points(m, rng)
-            mat = mixed_parity_matrix(k, pts)
+            mat = mixed_parity_matrices(pts)[k - 1]
             sv = np.linalg.svd(mat, compute_uv=False)
             assert sv[-1] > 1e-10 * sv[0]
+
+
+def test_mixed_parity_stack_matches_the_entrywise_reference():
+    # one table of Python-float powers per point gives the same bits as
+    # filling each k's matrix entry by entry
+    rng = np.random.default_rng(37)
+    for m in range(0, 32):
+        for pts in ([(q + 1) / (m + 1) for q in range(m)], jittered_points(m, rng)):
+            stack = mixed_parity_matrices(pts)
+            assert stack.shape == (m, 2 * m, 2 * m)
+            for k in range(1, m + 1):
+                assert (stack[k - 1] == mixed_parity_matrix(k, pts)).all(), (m, k)
+
+
+@pytest.mark.parametrize("pts", [[0.2, 0.2], [0.0, 0.5], [0.5, 1.0]])
+def test_mixed_parity_rejects_bad_points(pts):
+    with pytest.raises(InputError, match="points must"):
+        mixed_parity_matrices(pts)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,9 @@
 """Tests for collocation assembly, solving, and poisedness certificates."""
 
+import dataclasses
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -22,7 +25,7 @@ from sphinterp import (
     solve,
     spherical_from_vector,
 )
-from sphinterp.interpolation import _Chain, _class_blocks
+from sphinterp.interpolation import _CHAINS, _Chain, _class_blocks
 from sphinterp.nodes import NodeSet, azimuth_grid, mirror
 from sphinterp.verification import TOL_PLANT_COEFF
 
@@ -85,6 +88,43 @@ def test_class_blocks_are_the_ring_spectra_of_the_coefficients(s, alpha):
     for got, expected in pairs:  # the middle pair is empty at s = 1
         assert got.shape == expected.shape
         assert np.max(np.abs(got - expected), initial=0.0) <= 1e-13 * np.max(np.abs(expected), initial=0.0)
+
+
+def _broadcast_blocks(t, sn, alpha, s, mid_index):
+    """A group's middle and end blocks with every power a broadcast ``**``."""
+    width, lam = len(t), len(t) // 2
+    beta = alpha * PI / (2 * s)
+    j, k = mid_index[0][:, :width], mid_index[1][:, :width]
+    mag = math.sqrt(s) * t[None, :, None] ** j[:, None, :] * sn[None, :, None] ** k[:, None, :]
+    c, sp = mag * np.cos(k[:, None, :] * beta[None, :, None]), mag * np.sin(k[:, None, :] * beta[None, :, None])
+    fold = np.where(k < s, 1.0, -1.0)[:, None, :]
+    root_m = math.sqrt(2 * s)
+    nyquist = root_m * t[:, None] ** np.arange(lam) * sn[:, None] ** s
+    nyquist_cols = np.hstack([nyquist * np.cos(s * beta)[:, None], nyquist * np.sin(s * beta)[:, None]])
+    end = np.stack([root_m * t[:, None] ** np.arange(width), nyquist_cols])
+    return np.block([[c, sp], [fold * sp, -fold * c]]), end
+
+
+def _plans_to_41():
+    """Every plan at n <= 9, then the single, all-ones and two-group plans at n = 21, 31 and 41."""
+    for n in range(1, 10, 2):
+        yield from enumerate_partitions(n)
+    for half in (11, 16, 21):
+        yield from (PartitionPlan(2 * half - 1, lams) for lams in [(half,), (1,) * half, (half // 2, half - half // 2)])
+
+
+def test_class_blocks_match_the_broadcast_powers_bit_for_bit():
+    # the gathers from per-group power tables must reproduce the broadcast
+    # t**j sin**k exactly; n = 7 plans (2, 2) and (1, 1, 2) hold the s = 2
+    # Nyquist column, where a table pow differs from numpy's squaring
+    for plan in _plans_to_41():
+        for lats in (default_latitudes(plan), seeded_latitudes(plan, 3)):
+            nodes = build_nodeset(plan, lats)
+            for g, rings in zip(_Chain(nodes).groups, plan.ring_slices()):
+                th = nodes.theta[rings]
+                mid, end = _broadcast_blocks(np.cos(th), np.sin(th), nodes.alpha[rings], g.s, g.mid_index)
+                assert g.mid.shape == mid.shape and (g.mid == mid).all(), (plan.lambdas, g.s)
+                assert (g.end == end).all(), (plan.lambdas, g.s)
 
 
 def test_pi_coeffs_match_python_product_loop():
@@ -255,6 +295,22 @@ def test_certificate_rejects_zero_trials():
         poisedness_certificate(example_nodes(), trials=0)
 
 
+@pytest.mark.parametrize(
+    "kwargs, name",
+    [
+        ({"trials": 2.5}, "trials"),
+        ({"trials": True}, "trials"),
+        ({"trials": "3"}, "trials"),
+        ({"seed": -1}, "seed"),
+        ({"seed": 0.5}, "seed"),
+        ({"seed": False}, "seed"),
+    ],
+)
+def test_certificate_rejects_bad_trials_and_seed(kwargs, name):
+    with pytest.raises(InputError, match=f"^{name} must be a"):
+        poisedness_certificate(example_nodes(), **kwargs)
+
+
 def test_certificate_report_fields():
     cert = poisedness_certificate(example_nodes(), trials=4, seed=9)
     assert cert.passed
@@ -379,3 +435,87 @@ def test_solve_and_certificate_never_assemble(monkeypatch):
     report = solve(InterpolationProblem(nodes=nodes, data=(1.0,) * nodes.count()))
     assert report.residual_inf < 1e-10
     assert poisedness_certificate(nodes, trials=2, seed=0).passed
+
+
+def _counting_chain(monkeypatch):
+    """Fresh chain cache, and counts of chain builds and block SVD sweeps."""
+    import sphinterp.interpolation as interpolation
+
+    counts = {"build": 0, "pivots": 0}
+    build, pivots = _Chain.__init__, _Chain.pivots
+
+    def counted_build(self, nodes):
+        counts["build"] += 1
+        build(self, nodes)
+
+    def counted_pivots(self):
+        counts["pivots"] += 1
+        return pivots(self)
+
+    monkeypatch.setattr(_Chain, "__init__", counted_build)
+    monkeypatch.setattr(_Chain, "pivots", counted_pivots)
+    monkeypatch.setattr(interpolation, "_CHAINS", weakref.WeakKeyDictionary())
+    return interpolation, counts
+
+
+@pytest.mark.parametrize("solve_first", [True, False])
+def test_solve_and_certificate_share_one_chain(monkeypatch, solve_first):
+    interpolation, counts = _counting_chain(monkeypatch)
+    plan = PartitionPlan(n=9, lambdas=(2, 1, 2))
+    nodes = build_nodeset(plan, default_latitudes(plan))
+    calls = [
+        lambda: solve(InterpolationProblem(nodes=nodes, data=(1.0,) * nodes.count())),
+        lambda: poisedness_certificate(nodes, trials=2, seed=0),
+    ]
+    for call in calls if solve_first else calls[::-1]:
+        call()
+    assert counts == {"build": 1, "pivots": 1}
+    assert len(interpolation._CHAINS) == 1
+
+
+def test_chain_cache_entry_dies_with_its_node_set():
+    gc.collect()
+    before = len(_CHAINS)
+    nodes = build_nodeset(PartitionPlan(n=5, lambdas=(2, 1)), [[0.4, 0.9], [1.2]])
+    problem = InterpolationProblem(nodes=nodes, data=(1.0,) * nodes.count())
+    report, cert = solve(problem), poisedness_certificate(nodes, trials=2, seed=0)
+    alive = weakref.ref(nodes)
+    assert len(_CHAINS) == before + 1
+    del nodes, problem
+    gc.collect()
+    assert alive() is None
+    assert len(_CHAINS) == before
+    assert report.residual_inf < 1e-10 and cert.passed
+
+
+def _same_report(a, b) -> bool:
+    for field in dataclasses.fields(a):
+        x, y = getattr(a, field.name), getattr(b, field.name)
+        if field.name == "solution":
+            x, y = x.coef, y.coef
+        if not np.array_equal(x, y):
+            return False
+    return True
+
+
+@pytest.mark.parametrize(
+    "lambdas, seed", [((2,), 3), ((1, 1), 3), ((2, 1, 2), 7), ((3, 1, 1), 7), ((8,), 3), ((4, 4), 5)]
+)
+def test_warm_reports_equal_cold_reports(lambdas, seed):
+    # each node set is rebuilt from the same fields, so one call of each
+    # pair runs cold and the other reads the chain the first one built
+    plan = PartitionPlan(n=2 * sum(lambdas) - 1, lambdas=lambdas)
+    base = build_nodeset(plan, seeded_latitudes(plan, seed))
+    data = tuple(np.random.default_rng(seed).uniform(-1.0, 1.0, base.count()))
+
+    def fresh():
+        return NodeSet(plan=plan, theta=base.theta, alpha=base.alpha)
+
+    first, second = fresh(), fresh()
+    cold_solve = solve(InterpolationProblem(nodes=first, data=data))
+    warm_cert = poisedness_certificate(first, trials=3, seed=seed)
+    cold_cert = poisedness_certificate(second, trials=3, seed=seed)
+    warm_solve = solve(InterpolationProblem(nodes=second, data=data))
+    assert _same_report(warm_solve, cold_solve)
+    assert _same_report(warm_cert, cold_cert)
+    assert poisedness_certificate(first, trials=3, seed=seed) == warm_cert
