@@ -9,11 +9,13 @@ holds the band polynomials of t-degree below 2 lambda_g. The second part
 vanishes on group g, so the group's values determine the V_g part alone:
 
 * an orthonormal real FFT along each ring splits that solve by azimuthal
-  frequency; the class {p, 2 s_g - p} is one 4 lambda_g square block, the
-  classes 0 and s_g are 2 lambda_g square, and each ring keeps its own
-  azimuth phase; one batched ``np.linalg.solve`` handles the blocks;
-* the V_g part is subtracted at the later rings, their values are divided
-  by Pi_g(cos theta), and the chain recurses at degree d_g - 2 lambda_g;
+  frequency; the class {p, 2 s_g - p} is one complex 2 lambda_g square
+  block, the classes 0 and s_g are real 2 lambda_g squares, each ring
+  keeps its own azimuth phase, and one batched solve handles each kind;
+* the V_g part is subtracted at the later rings (its bands evaluated once
+  per ring, then one batched matmul per later group with that group's
+  cos/sin k phi table), the rest is divided by Pi_g(cos theta), and the
+  chain recurses at degree d_g - 2 lambda_g;
 * the monomial bands are rebuilt as a_k = r_k + Pi_g q_k.
 
 ``solve`` and ``poisedness_certificate`` read one pass, which solves several
@@ -30,8 +32,8 @@ with the node set. Reported numbers:
   node-wise row sums;
 * ``log_abs_det``: log|det| of the dense collocation matrix, the sum of
   the logs of the same block singular values (one SVD per block gives
-  both numbers); the orthonormal ring transforms and the row and column
-  orders change no magnitude.
+  both; a complex block's count twice); the orthonormal ring transforms
+  and the row and column orders change no magnitude.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InputError, PoisednessError
-from .nodes import NodeSet
+from .nodes import NodeSet, azimuth_grid
 from .spherical import SphericalPoly, band_mask
 
 RESIDUAL_TOL = 1e-8  # relative residual bound certified by solve/certificate
@@ -110,12 +112,14 @@ def _class_blocks(t, sn, alpha, s: int):
     """Frequency-class blocks of V_g at one group's rings, and their columns.
 
     The group has 2 lam = len(t) rings of 2s azimuths at degree
-    d = s + lam - 1. Rows are the orthonormal real DFT coefficients of the
-    rings: for a middle class p (0 < p < s) first sqrt(2) Re, then
-    sqrt(2) Im, ring by ring; for the classes 0 and s the real part.
-    Columns are the V_g basis elements t**j sin**k (cos, sin)(k phi) whose
-    frequency k folds onto the class; each comes with its (j, k, kind)
-    index, kind 0 for cos.
+    d = s + lam - 1; rows are rings. A middle class p (0 < p < s) has the
+    columns t**j sin**k (cos, sin)(k phi) of V_g with k in {p, 2s - p},
+    given as (j, k, fold), fold = +1 at k = p and -1 at k = 2s - p. Its
+    complex block C + i fold S maps the unknowns a - i fold b (a, b the cos
+    and sin coefficients) to sqrt(2) times each ring's orthonormal rfft
+    value at p: the real form [[C, S], [fold S, -fold C]] of (a, b). The
+    classes 0 and s are real blocks on the real part of the rfft, with
+    columns (j, k, kind), kind 0 for cos.
     """
     width = len(t)
     lam = width // 2
@@ -128,15 +132,12 @@ def _class_blocks(t, sn, alpha, s: int):
     low = u < w_low  # band 2s - p the rest
     k = np.where(low, p, m2 - p)
     j = np.where(low, u, u - w_low)
-    fold = np.where(low, 1.0, -1.0)[:, None, :]
+    fold = np.where(low, 1.0, -1.0)
     t_pow = t[:, None] ** np.arange(width)  # gathers from these tables equal broadcast powers bit for bit
     s_pow = sn[:, None] ** np.arange(d + 1)  # k <= d: band 2s - p only fills slots when p > s - lam
     mag = math.sqrt(m2 / 2.0) * t_pow[:, j].swapaxes(0, 1) * s_pow[:, k].swapaxes(0, 1)
     phase = k[:, None, :] * beta[None, :, None]
-    c = mag * np.cos(phase)
-    sp = mag * np.sin(phase)
-    mid = np.block([[c, sp], [fold * sp, -fold * c]])
-    mid_index = (np.concatenate([j, j], axis=1), np.concatenate([k, k], axis=1), np.repeat([0, 1], width))
+    mid = mag * (np.cos(phase) + 1j * fold[:, None, :] * np.sin(phase))
 
     root_m = math.sqrt(m2)
     v = np.arange(lam)
@@ -154,7 +155,7 @@ def _class_blocks(t, sn, alpha, s: int):
         np.array([[0] * width, [s] * width]),
         np.array([[0] * width, [0] * lam + [1] * lam]),
     )
-    return mid, mid_index, end, end_index
+    return mid, (j, k, fold), end, end_index
 
 
 @dataclass(frozen=True)
@@ -162,11 +163,12 @@ class _Group:
     lam: int
     s: int
     degree: int
+    rings: slice
     nodes: slice
-    later_rings: slice
     later_nodes: slice
-    mid: np.ndarray  # (s - 1, 4 lam, 4 lam) middle-class blocks
-    mid_index: tuple
+    trig: np.ndarray  # (2 lam, 2 s, n + 1, 2): cos and sin of k phi at each node of each ring
+    mid: np.ndarray  # (s - 1, 2 lam, 2 lam) complex middle-class blocks
+    mid_cols: tuple  # (j, k, fold) of each middle column
     end: np.ndarray  # (2, 2 lam, 2 lam): classes 0 and s
     end_index: tuple
     pi_coeffs: np.ndarray  # Pi_g, low to high
@@ -190,53 +192,54 @@ class _Chain:
         self.t_pow = self.t[:, None] ** powers
         self.s_pow = np.sin(nodes.theta)[:, None] ** powers
         ring_sizes = np.repeat(2 * np.array(plan.azimuth_half_counts()), 2 * np.array(plan.lambdas))
-        self.node_ring = np.repeat(np.arange(n + 1), ring_sizes)
-        kphi = np.outer(nodes.points()[:, 1], powers)
-        self.cos = np.cos(kphi)
-        self.sin = np.sin(kphi)
+        starts = np.concatenate([[0], np.cumsum(ring_sizes)])  # each ring's first node
         # row sums of |A|: sum_k s**k (sum_{j <= n - k} |t|**j) (|cos k phi| + |sin k phi|)
-        tails = np.cumsum(np.abs(self.t_pow), axis=1)[:, ::-1]
-        weights = (self.s_pow * tails)[self.node_ring]
-        self.norm_inf = float(np.max(np.sum(weights * (np.abs(self.cos) + np.abs(self.sin)), axis=1)))
+        weights = self.s_pow * np.cumsum(np.abs(self.t_pow), axis=1)[:, ::-1]
+        self.norm_inf = 0.0
 
         self.groups: list[_Group] = []
-        r0 = o0 = 0
         psi = np.ones(n + 1)
-        for lam, s, d in zip(plan.lambdas, plan.azimuth_half_counts(), plan.degrees()):
-            r1 = r0 + 2 * lam
-            o1 = o0 + 2 * lam * 2 * s
-            t = self.t[r0:r1]
-            mid, mid_index, end, end_index = _class_blocks(t, self.s_pow[r0:r1, 1], nodes.alpha[r0:r1], s)
-            pi_rings = np.prod(self.t[r1:, None] - t[None, :], axis=1)
+        for lam, s, d, rings in zip(plan.lambdas, plan.azimuth_half_counts(), plan.degrees(), plan.ring_slices()):
+            kphi = azimuth_grid(s, nodes.alpha[rings])[..., None] * powers  # [ring, azimuth, k]
+            cos, sin = np.cos(kphi), np.sin(kphi)
+            row_sums = np.sum(weights[rings, None] * (np.abs(cos) + np.abs(sin)), axis=-1)
+            self.norm_inf = max(self.norm_inf, float(np.max(row_sums)))
+            t = self.t[rings]
+            mid, mid_cols, end, end_index = _class_blocks(t, self.s_pow[rings, 1], nodes.alpha[rings], s)
+            pi_rings = np.prod(self.t[rings.stop :, None] - t[None, :], axis=1)
             self.groups.append(
                 _Group(
                     lam=lam,
                     s=s,
                     degree=d,
-                    nodes=slice(o0, o1),
-                    later_rings=slice(r1, None),
-                    later_nodes=slice(o1, None),
+                    rings=rings,
+                    nodes=slice(starts[rings.start], starts[rings.stop]),
+                    later_nodes=slice(starts[rings.stop], None),
+                    trig=np.stack([cos, sin], axis=-1),
                     mid=mid,
-                    mid_index=mid_index,
+                    mid_cols=mid_cols,
                     end=end,
                     end_index=end_index,
                     pi_coeffs=np.poly(t)[::-1],
-                    pi_later=pi_rings[self.node_ring[o1:] - r1],
-                    psi=psi[r0:r1],
+                    pi_later=np.repeat(pi_rings, ring_sizes[rings.stop :]),
+                    psi=psi[rings],
                 )
             )
-            psi[r1:] *= pi_rings
-            r0, o0 = r1, o1
+            psi[rings.stop :] *= pi_rings
 
-    def values(self, coef: np.ndarray, rings: slice = slice(0, None), nodes: slice = slice(None)) -> np.ndarray:
-        """Values of coefficient columns at the given nodes, which lie on the
-        given rings (default: every node): [node, column]."""
-        width, bands = coef.shape[:2]
-        vals = (self.t_pow[rings, :width] @ coef.reshape(width, -1)).reshape(-1, bands, 2, coef.shape[-1])
-        per_node = (vals * self.s_pow[rings, :bands, None, None])[self.node_ring[nodes] - rings.start]
-        return np.einsum("nkc,nk->nc", per_node[:, :, 0], self.cos[nodes, :bands]) + np.einsum(
-            "nkc,nk->nc", per_node[:, :, 1], self.sin[nodes, :bands]
-        )
+    def values(self, coef: np.ndarray, first: int = 0) -> np.ndarray:
+        """Values of coefficient columns at the nodes of groups first, first
+        + 1, ...: [node, column]. The bands are evaluated once per ring, then
+        each group's rings take one batched matmul with its cos/sin table."""
+        width, bands, _, cols = coef.shape
+        r0 = self.groups[first].rings.start
+        vals = (self.t_pow[r0:, :width] @ coef.reshape(width, -1)).reshape(-1, bands, 2, cols)
+        vals *= self.s_pow[r0:, :bands, None, None]
+        out = []
+        for g in self.groups[first:]:
+            ring_vals = vals[g.rings.start - r0 : g.rings.stop - r0].reshape(2 * g.lam, 2 * bands, cols)
+            out.append((g.trig.reshape(2 * g.lam, 2 * g.s, -1)[:, :, : 2 * bands] @ ring_vals).reshape(-1, cols))
+        return np.concatenate(out)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Coefficients of the interpolants of the columns of rhs (node order).
@@ -246,20 +249,19 @@ class _Chain:
         cols = rhs.shape[1]
         work = np.array(rhs, dtype=float)
         parts = []
-        for g in self.groups:
+        for i, g in enumerate(self.groups):
             spectra = np.fft.rfft(work[g.nodes].reshape(2 * g.lam, 2 * g.s, cols), axis=1, norm="ortho")
             r = np.zeros((2 * g.lam, g.degree + 1, 2, cols))
-            if g.s > 1:
-                mid = spectra[:, 1 : g.s].transpose(1, 0, 2)
-                rhs_mid = math.sqrt(2.0) * np.concatenate([mid.real, mid.imag], axis=1)
-                r[g.mid_index] = np.linalg.solve(g.mid, rhs_mid)
+            j, k, fold = g.mid_cols
+            z = np.linalg.solve(g.mid, math.sqrt(2.0) * spectra[:, 1 : g.s].transpose(1, 0, 2))
+            r[j, k, 0] = z.real
+            r[j, k, 1] = -fold[..., None] * z.imag
             r[g.end_index] = np.linalg.solve(g.end, np.stack([spectra[:, 0].real, spectra[:, g.s].real]))
             parts.append(r)
-            if g.later_nodes.start < self.size:  # not the last group
+            if i + 1 < len(self.groups):
                 if not np.all(g.pi_later):
                     raise np.linalg.LinAlgError("a later ring shares a latitude cosine with this group")
-                done = self.values(r, g.later_rings, g.later_nodes)
-                work[g.later_nodes] = (work[g.later_nodes] - done) / g.pi_later[:, None]
+                work[g.later_nodes] = (work[g.later_nodes] - self.values(r, i + 1)) / g.pi_later[:, None]
         coef = None
         for g, r in zip(reversed(self.groups), reversed(parts)):
             full = np.zeros((g.degree + 1, g.degree + 1, 2, cols))
@@ -271,18 +273,16 @@ class _Chain:
             coef = full
         return coef
 
-    def _blocks(self):
-        """Diagonal blocks of the chain factorization: frequency blocks times
-        the product of the earlier Pi at their rings."""
-        for g in self.groups:
-            if g.s > 1:
-                yield np.tile(g.psi, 2)[:, None] * g.mid
-            yield g.psi[:, None] * g.end
-
     def pivots(self) -> tuple[float, float]:
-        """The smallest singular value over all blocks, and log|det| as the
-        sum of the logs of all of them (-inf when one is exactly 0)."""
-        sigma = np.concatenate([np.linalg.svd(b, compute_uv=False).ravel() for b in self._blocks()])
+        """The smallest singular value over the diagonal blocks of the chain
+        factorization (frequency blocks times the earlier Pi at their rings)
+        and log|det| as the sum of the logs of all of them (-inf when one is
+        exactly 0); a complex block's count twice, as in its real form."""
+        sigma = []
+        for g in self.groups:
+            mid, end = (np.linalg.svd(g.psi[:, None] * b, compute_uv=False).ravel() for b in (g.mid, g.end))
+            sigma += [mid, mid, end]
+        sigma = np.concatenate(sigma)
         with np.errstate(divide="ignore"):
             return float(sigma.min()), float(np.sum(np.log(sigma)))
 

@@ -62,6 +62,11 @@ def extended_solve(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return x
 
 
+def realified(block: np.ndarray) -> np.ndarray:
+    """The real form [[Re, -Im], [Im, Re]] of a complex matrix or stack of them."""
+    return np.block([[block.real, -block.imag], [block.imag, block.real]])
+
+
 def cardinal_integral_weights(grid) -> list[float]:
     """Integrals over [-1, 1] of the Lagrange cardinals, in exact arithmetic.
 

@@ -29,7 +29,7 @@ from sphinterp.interpolation import _CHAINS, _Chain, _class_blocks
 from sphinterp.nodes import NodeSet, azimuth_grid, mirror
 from sphinterp.verification import TOL_PLANT_COEFF
 
-from helpers import dense_solve, extended_solve
+from helpers import dense_solve, extended_solve, realified
 
 PI = math.pi
 
@@ -71,18 +71,19 @@ def test_assembly_agrees_with_basis_evaluation():
 @pytest.mark.parametrize("s", range(1, 8))
 def test_class_blocks_are_the_ring_spectra_of_the_coefficients(s, alpha):
     # the solver's spelling of the alias identity k <-> 2s - k: on 2 lam = 2s
-    # rings a degree-(2s - 1) T is all of V_g, so the middle blocks map its
-    # gathered coefficients to sqrt(2) (Re, Im) of each ring's orthonormal
-    # rfft at the classes 0 < p < s, and the end blocks to Re at 0 and s
+    # rings a degree-(2s - 1) T is all of V_g, so the complex middle blocks
+    # map the unknowns a - i fold b of its gathered (cos, sin) coefficients
+    # to sqrt(2) times each ring's orthonormal rfft at the classes
+    # 0 < p < s, and the real end blocks map theirs to Re at 0 and s
     rng = np.random.default_rng(100 * s + int(100 * alpha))
     T = random_spherical(2 * s - 1, rng)
     theta = np.sort(rng.uniform(0.1, PI - 0.1, size=2 * s))
     tags = np.full(2 * s, alpha)
-    mid, mid_index, end, end_index = _class_blocks(np.cos(theta), np.sin(theta), tags, s)
+    mid, (j, k, fold), end, end_index = _class_blocks(np.cos(theta), np.sin(theta), tags, s)
     spectra = np.fft.rfft(T.eval(theta[:, None], azimuth_grid(s, tags)), axis=1, norm="ortho")
-    middle = spectra[:, 1:s].T
+    unknowns = T.coef[j, k, 0] - 1j * fold * T.coef[j, k, 1]
     pairs = [
-        (np.einsum("pab,pb->pa", mid, T.coef[mid_index]), math.sqrt(2.0) * np.hstack([middle.real, middle.imag])),
+        (np.einsum("pab,pb->pa", mid, unknowns), math.sqrt(2.0) * spectra[:, 1:s].T),
         (np.einsum("cab,cb->ca", end, T.coef[end_index]), np.stack([spectra[:, 0].real, spectra[:, s].real])),
     ]
     for got, expected in pairs:  # the middle pair is empty at s = 1
@@ -90,19 +91,19 @@ def test_class_blocks_are_the_ring_spectra_of_the_coefficients(s, alpha):
         assert np.max(np.abs(got - expected), initial=0.0) <= 1e-13 * np.max(np.abs(expected), initial=0.0)
 
 
-def _broadcast_blocks(t, sn, alpha, s, mid_index):
+def _broadcast_blocks(t, sn, alpha, s, mid_cols):
     """A group's middle and end blocks with every power a broadcast ``**``."""
-    width, lam = len(t), len(t) // 2
+    lam = len(t) // 2
     beta = alpha * PI / (2 * s)
-    j, k = mid_index[0][:, :width], mid_index[1][:, :width]
+    j, k, _ = mid_cols
     mag = math.sqrt(s) * t[None, :, None] ** j[:, None, :] * sn[None, :, None] ** k[:, None, :]
-    c, sp = mag * np.cos(k[:, None, :] * beta[None, :, None]), mag * np.sin(k[:, None, :] * beta[None, :, None])
+    phase = k[:, None, :] * beta[None, :, None]
     fold = np.where(k < s, 1.0, -1.0)[:, None, :]
     root_m = math.sqrt(2 * s)
     nyquist = root_m * t[:, None] ** np.arange(lam) * sn[:, None] ** s
     nyquist_cols = np.hstack([nyquist * np.cos(s * beta)[:, None], nyquist * np.sin(s * beta)[:, None]])
-    end = np.stack([root_m * t[:, None] ** np.arange(width), nyquist_cols])
-    return np.block([[c, sp], [fold * sp, -fold * c]]), end
+    end = np.stack([root_m * t[:, None] ** np.arange(2 * lam), nyquist_cols])
+    return mag * (np.cos(phase) + 1j * fold * np.sin(phase)), end
 
 
 def _plans_to_41():
@@ -113,18 +114,54 @@ def _plans_to_41():
         yield from (PartitionPlan(2 * half - 1, lams) for lams in [(half,), (1,) * half, (half // 2, half - half // 2)])
 
 
+def _chains_to_41():
+    """(node set, chain) over ``_plans_to_41`` at default and seed-3 latitudes."""
+    for plan in _plans_to_41():
+        for lats in (default_latitudes(plan), seeded_latitudes(plan, 3)):
+            nodes = build_nodeset(plan, lats)
+            yield nodes, _Chain(nodes)
+
+
 def test_class_blocks_match_the_broadcast_powers_bit_for_bit():
     # the gathers from per-group power tables must reproduce the broadcast
     # t**j sin**k exactly; n = 7 plans (2, 2) and (1, 1, 2) hold the s = 2
     # Nyquist column, where a table pow differs from numpy's squaring
-    for plan in _plans_to_41():
-        for lats in (default_latitudes(plan), seeded_latitudes(plan, 3)):
-            nodes = build_nodeset(plan, lats)
-            for g, rings in zip(_Chain(nodes).groups, plan.ring_slices()):
-                th = nodes.theta[rings]
-                mid, end = _broadcast_blocks(np.cos(th), np.sin(th), nodes.alpha[rings], g.s, g.mid_index)
-                assert g.mid.shape == mid.shape and (g.mid == mid).all(), (plan.lambdas, g.s)
-                assert (g.end == end).all(), (plan.lambdas, g.s)
+    for nodes, chain in _chains_to_41():
+        for g in chain.groups:
+            th = nodes.theta[g.rings]
+            mid, end = _broadcast_blocks(np.cos(th), np.sin(th), nodes.alpha[g.rings], g.s, g.mid_cols)
+            assert g.mid.shape == mid.shape == (g.s - 1, 2 * g.lam, 2 * g.lam)
+            assert (g.mid == mid).all(), (nodes.plan.lambdas, g.s)
+            assert (g.end == end).all(), (nodes.plan.lambdas, g.s)
+
+
+def test_complex_blocks_have_the_singular_values_of_their_real_form():
+    # a complex block's singular values, each counted twice, are those of
+    # its real 4 lam x 4 lam form; pivots counts them that way
+    for _, chain in _chains_to_41():
+        for g in chain.groups:
+            doubled = np.sort(np.repeat(np.linalg.svd(g.mid, compute_uv=False), 2, axis=-1), axis=-1)
+            real = np.sort(np.linalg.svd(realified(g.mid), compute_uv=False), axis=-1)
+            scale = real.max(axis=-1, keepdims=True, initial=0.0)
+            assert np.all(np.abs(doubled - real) <= 1e-13 * scale), (chain.size, g.lam, g.s)
+
+
+@pytest.mark.parametrize("cols", [1, 8])
+def test_chain_values_match_the_collocation_matrix(cols):
+    # dual route: ring-wise band values and one matmul per group of rings
+    # against the assembled matrix times canonical coefficient vectors, from
+    # the first group and from a middle one
+    rng = np.random.default_rng(cols)
+    for nodes, chain in _chains_to_41():
+        polys = [random_spherical(nodes.n, rng) for _ in range(cols)]
+        coef = np.stack([T.coef for T in polys], axis=-1)
+        expected = assemble_matrix(nodes) @ np.stack([T.coefficient_vector() for T in polys], axis=1)
+        scale = np.max(np.abs(coef))
+        for first in {0, len(chain.groups) // 2}:
+            got = chain.values(coef, first)
+            rows = expected[chain.groups[first].nodes.start :]
+            assert got.shape == rows.shape
+            assert np.max(np.abs(got - rows)) <= 1e-13 * scale, (nodes.plan.lambdas, first)
 
 
 def test_pi_coeffs_match_python_product_loop():
