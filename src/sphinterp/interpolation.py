@@ -18,17 +18,17 @@ vanishes on group g, so the group's values determine the V_g part alone:
   chain recurses at degree d_g - 2 lambda_g;
 * the monomial bands are rebuilt as a_k = r_k + Pi_g q_k.
 
-``solve`` and ``poisedness_certificate`` read one pass, which solves several
-right-hand sides as columns and then refines them once. The chain and its
-block SVDs are built once per node set, shared by both calls, and freed
-with the node set. Reported numbers:
+``solve`` and ``poisedness_certificate`` share one chain per node set,
+built once and freed with the node set. It holds every number that
+depends only on the node set; each call then solves only its own data,
+as columns, and refines them once. Reported numbers:
 
 * ``pivot_min``: the smallest singular value among the diagonal blocks of
   that factorization, the frequency blocks with the rows of each ring
   scaled by the earlier Pi at its latitude;
 * ``condition_estimate``: kappa = ||A||_inf * max ||A^-1 f||_inf / ||f||_inf
-  over three fixed-seed +-1 probe columns solved in the same pass, a lower
-  bound on the infinity-norm condition number; ||A||_inf comes from
+  over three fixed-seed +-1 probe columns, solved once with the chain, a
+  lower bound on the infinity-norm condition number; ||A||_inf comes from
   node-wise row sums;
 * ``log_abs_det``: log|det| of the dense collocation matrix, the sum of
   the logs of the same block singular values (one SVD per block gives
@@ -108,20 +108,22 @@ def assemble_matrix(nodes: NodeSet) -> np.ndarray:
     return assemble_at_points(nodes.n, nodes.points())
 
 
-def _class_blocks(t, sn, alpha, s: int):
+def _class_blocks(t_pow, s_pow, alpha, s: int):
     """Frequency-class blocks of V_g at one group's rings, and their columns.
 
-    The group has 2 lam = len(t) rings of 2s azimuths at degree
-    d = s + lam - 1; rows are rings. A middle class p (0 < p < s) has the
-    columns t**j sin**k (cos, sin)(k phi) of V_g with k in {p, 2s - p},
-    given as (j, k, fold), fold = +1 at k = p and -1 at k = 2s - p. Its
-    complex block C + i fold S maps the unknowns a - i fold b (a, b the cos
-    and sin coefficients) to sqrt(2) times each ring's orthonormal rfft
-    value at p: the real form [[C, S], [fold S, -fold C]] of (a, b). The
-    classes 0 and s are real blocks on the real part of the rfft, with
-    columns (j, k, kind), kind 0 for cos.
+    The group has 2 lam = len(t_pow) rings of 2s azimuths at degree
+    d = s + lam - 1; rows are rings, and t_pow and s_pow hold the powers
+    0..d (or more) of cos theta and sin theta at each ring. A middle class
+    p (0 < p < s) has the columns t**j sin**k (cos, sin)(k phi) of V_g
+    with k in {p, 2s - p}, given as (j, k, fold), fold = +1 at k = p and
+    -1 at k = 2s - p. Its complex block C + i fold S maps the unknowns
+    a - i fold b (a, b the cos and sin coefficients) to sqrt(2) times each
+    ring's orthonormal rfft value at p: the real form
+    [[C, S], [fold S, -fold C]] of (a, b). The classes 0 and s are real
+    blocks on the real part of the rfft, with columns (j, k, kind), kind 0
+    for cos.
     """
-    width = len(t)
+    width = len(t_pow)
     lam = width // 2
     d = s + lam - 1
     m2 = 2 * s
@@ -133,18 +135,17 @@ def _class_blocks(t, sn, alpha, s: int):
     k = np.where(low, p, m2 - p)
     j = np.where(low, u, u - w_low)
     fold = np.where(low, 1.0, -1.0)
-    t_pow = t[:, None] ** np.arange(width)  # gathers from these tables equal broadcast powers bit for bit
-    s_pow = sn[:, None] ** np.arange(d + 1)  # k <= d: band 2s - p only fills slots when p > s - lam
+    # gathers from the tables equal broadcast powers bit for bit; k <= d
     mag = math.sqrt(m2 / 2.0) * t_pow[:, j].swapaxes(0, 1) * s_pow[:, k].swapaxes(0, 1)
     phase = k[:, None, :] * beta[None, :, None]
     mid = mag * (np.cos(phase) + 1j * fold[:, None, :] * np.sin(phase))
 
     root_m = math.sqrt(m2)
     v = np.arange(lam)
-    nyquist = root_m * t_pow[:, :lam] * sn[:, None] ** s  # a scalar exponent: numpy squares at s = 2
+    nyquist = root_m * t_pow[:, :lam] * s_pow[:, 1:2] ** s  # a scalar exponent: numpy squares at s = 2
     end = np.stack(
         [
-            root_m * t_pow,
+            root_m * t_pow[:, :width],
             np.concatenate(
                 [nyquist * np.cos(s * beta)[:, None], nyquist * np.sin(s * beta)[:, None]], axis=1
             ),
@@ -173,40 +174,46 @@ class _Group:
     end_index: tuple
     pi_coeffs: np.ndarray  # Pi_g, low to high
     pi_later: np.ndarray  # Pi_g(cos theta) at every later node
-    psi: np.ndarray  # product of the earlier Pi at this group's rings
 
 
 class _Chain:
-    """Tables of the chain solver for one node set, built once per node set.
+    """The chain solver for one node set, and every number that depends
+    only on the node set: ``pivot_min``, ``log_abs_det`` and
+    ``condition_estimate``, computed once here. A block that is exactly
+    singular sets ``exactly_singular``, log|det| -inf and kappa inf.
 
     Coefficients live in arrays coef[j, k, kind, column], one
     ``SphericalPoly.coef`` per column.
     """
 
+    @np.errstate(over="ignore", invalid="ignore", divide="ignore")  # kappa may overflow to inf; log(0) is -inf
     def __init__(self, nodes: NodeSet):
         plan = nodes.plan
         n = plan.n
         self.size = (n + 1) ** 2
-        self.t = np.cos(nodes.theta)
+        t_all = np.cos(nodes.theta)
         powers = np.arange(n + 1)
-        self.t_pow = self.t[:, None] ** powers
+        self.t_pow = t_all[:, None] ** powers
         self.s_pow = np.sin(nodes.theta)[:, None] ** powers
         ring_sizes = np.repeat(2 * np.array(plan.azimuth_half_counts()), 2 * np.array(plan.lambdas))
         starts = np.concatenate([[0], np.cumsum(ring_sizes)])  # each ring's first node
         # row sums of |A|: sum_k s**k (sum_{j <= n - k} |t|**j) (|cos k phi| + |sin k phi|)
         weights = self.s_pow * np.cumsum(np.abs(self.t_pow), axis=1)[:, ::-1]
-        self.norm_inf = 0.0
+        norm_inf = 0.0
 
         self.groups: list[_Group] = []
-        psi = np.ones(n + 1)
+        sigma = []  # singular values of the diagonal blocks; a complex block's count twice
+        psi = np.ones(n + 1)  # product of the earlier Pi at each ring
         for lam, s, d, rings in zip(plan.lambdas, plan.azimuth_half_counts(), plan.degrees(), plan.ring_slices()):
             kphi = azimuth_grid(s, nodes.alpha[rings])[..., None] * powers  # [ring, azimuth, k]
             cos, sin = np.cos(kphi), np.sin(kphi)
             row_sums = np.sum(weights[rings, None] * (np.abs(cos) + np.abs(sin)), axis=-1)
-            self.norm_inf = max(self.norm_inf, float(np.max(row_sums)))
-            t = self.t[rings]
-            mid, mid_cols, end, end_index = _class_blocks(t, self.s_pow[rings, 1], nodes.alpha[rings], s)
-            pi_rings = np.prod(self.t[rings.stop :, None] - t[None, :], axis=1)
+            norm_inf = max(norm_inf, float(np.max(row_sums)))
+            t = t_all[rings]
+            mid, mid_cols, end, end_index = _class_blocks(self.t_pow[rings], self.s_pow[rings], nodes.alpha[rings], s)
+            mid_sigma, end_sigma = (np.linalg.svd(psi[rings, None] * b, compute_uv=False).ravel() for b in (mid, end))
+            sigma += [mid_sigma, mid_sigma, end_sigma]
+            pi_rings = np.prod(t_all[rings.stop :, None] - t[None, :], axis=1)
             self.groups.append(
                 _Group(
                     lam=lam,
@@ -222,10 +229,19 @@ class _Chain:
                     end_index=end_index,
                     pi_coeffs=np.poly(t)[::-1],
                     pi_later=np.repeat(pi_rings, ring_sizes[rings.stop :]),
-                    psi=psi[rings],
                 )
             )
             psi[rings.stop :] *= pi_rings
+
+        sigma = np.concatenate(sigma)
+        self.pivot_min, self.log_abs_det = float(sigma.min()), float(np.sum(np.log(sigma)))
+        probes = np.random.default_rng(_PROBE_SEED).choice((-1.0, 1.0), size=(self.size, _PROBES))
+        self.exactly_singular = False
+        try:
+            cond = norm_inf * float(np.max(np.abs(self.solve(probes))))
+        except np.linalg.LinAlgError:
+            self.exactly_singular, self.log_abs_det, cond = True, -math.inf, math.inf
+        self.condition_estimate = max(cond, 1.0) if math.isfinite(cond) else math.inf
 
     def values(self, coef: np.ndarray, first: int = 0) -> np.ndarray:
         """Values of coefficient columns at the nodes of groups first, first
@@ -273,52 +289,25 @@ class _Chain:
             coef = full
         return coef
 
-    def pivots(self) -> tuple[float, float]:
-        """The smallest singular value over the diagonal blocks of the chain
-        factorization (frequency blocks times the earlier Pi at their rings)
-        and log|det| as the sum of the logs of all of them (-inf when one is
-        exactly 0); a complex block's count twice, as in its real form."""
-        sigma = []
-        for g in self.groups:
-            mid, end = (np.linalg.svd(g.psi[:, None] * b, compute_uv=False).ravel() for b in (g.mid, g.end))
-            sigma += [mid, mid, end]
-        sigma = np.concatenate(sigma)
-        with np.errstate(divide="ignore"):
-            return float(sigma.min()), float(np.sum(np.log(sigma)))
-
-    @np.errstate(over="ignore", invalid="ignore")
-    def refine(self, f: np.ndarray, coef: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """One refinement step for the columns of f: the refined coefficients
-        and each column's largest residual at the nodes."""
+    @np.errstate(over="ignore", invalid="ignore")  # non-finite values reach SphericalPoly, which rejects them
+    def refine(self, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The coefficients of the columns of f after one refinement step,
+        and each column's largest residual at the nodes; only for a chain
+        that is not exactly singular."""
+        coef = self.solve(f)
         coef = coef + self.solve(f - self.values(coef))
         return coef, np.max(np.abs(self.values(coef) - f), axis=0)
 
 
-# NodeSet -> (chain, pivot_min, log|det|); NodeSet hashes by identity and
-# the chain holds no reference to it, so an entry dies with its node set
+# NodeSet -> its chain; NodeSet hashes by identity and the chain holds no
+# reference to it, so an entry dies with its node set
 _CHAINS = weakref.WeakKeyDictionary()
 
 
-@np.errstate(over="ignore", invalid="ignore")  # non-finite values reach SphericalPoly, which rejects them
-def _chain_pass(nodes: NodeSet, f: np.ndarray) -> tuple[_Chain, float, float, np.ndarray | None, float]:
-    """Solve the columns of f with the +-1 probe columns on the node set's chain.
-
-    The chain and its block SVDs are built once per node set. Returns the
-    chain, pivot_min, log|det|, the unrefined coefficients of f's columns
-    and kappa. An exactly singular block gives coefficients None, log|det|
-    -inf and kappa inf.
-    """
+def _chain(nodes: NodeSet) -> _Chain:
     if nodes not in _CHAINS:
-        chain = _Chain(nodes)
-        _CHAINS[nodes] = (chain, *chain.pivots())
-    chain, pivot_min, log_abs_det = _CHAINS[nodes]
-    probes = np.random.default_rng(_PROBE_SEED).choice((-1.0, 1.0), size=(chain.size, _PROBES))
-    try:
-        coef = chain.solve(np.concatenate([f, probes], axis=1))
-    except np.linalg.LinAlgError:
-        return chain, pivot_min, -math.inf, None, math.inf
-    cond = chain.norm_inf * float(np.max(np.abs(coef[..., f.shape[1] :])))
-    return chain, pivot_min, log_abs_det, coef[..., : f.shape[1]], max(cond, 1.0) if math.isfinite(cond) else math.inf
+        _CHAINS[nodes] = _Chain(nodes)
+    return _CHAINS[nodes]
 
 
 def solve(problem: InterpolationProblem) -> SolveReport:
@@ -330,9 +319,9 @@ def solve(problem: InterpolationProblem) -> SolveReport:
     ``build_nodeset`` this signals either invalid input or a conditioning
     collapse (see ``pivot_min``).
     """
-    f = np.array(problem.data)[:, None]
-    chain, pivot_min, _, coef, cond = _chain_pass(problem.nodes, f)
-    if coef is None:
+    chain = _chain(problem.nodes)
+    pivot_min, cond = chain.pivot_min, chain.condition_estimate
+    if chain.exactly_singular:
         raise PoisednessError(
             f"collocation matrix is exactly singular (smallest block singular value {pivot_min:.3e})",
             pivot_min=pivot_min,
@@ -346,7 +335,7 @@ def solve(problem: InterpolationProblem) -> SolveReport:
             pivot_min=pivot_min,
             condition_estimate=cond,
         )
-    coef, residual = chain.refine(f, coef)
+    coef, residual = chain.refine(np.array(problem.data)[:, None])
     return SolveReport(
         solution=SphericalPoly(coef[..., 0]),
         residual_inf=float(residual[0]),
@@ -365,17 +354,17 @@ def poisedness_certificate(nodes: NodeSet, trials: int = 8, seed: int = 0) -> Ce
     for name, value, low, kind in (("trials", trials, 1, "positive"), ("seed", seed, 0, "nonnegative")):
         if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
             raise InputError(f"{name} must be a {kind} integer, got {value!r}")
-    f = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(trials, nodes.count())).T
-    chain, pivot_min, log_abs_det, coef, cond = _chain_pass(nodes, f)
+    chain = _chain(nodes)
     residuals = (math.inf,) * trials
-    if coef is not None:
-        res = chain.refine(f, coef)[1] / np.maximum(1.0, np.max(np.abs(f), axis=0))
+    if not chain.exactly_singular:
+        f = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(trials, nodes.count())).T
+        res = chain.refine(f)[1] / np.maximum(1.0, np.max(np.abs(f), axis=0))
         residuals = tuple(float(r) if math.isfinite(r) else math.inf for r in res)
-    passed = math.isfinite(log_abs_det) and all(r <= RESIDUAL_TOL for r in residuals)
+    passed = math.isfinite(chain.log_abs_det) and all(r <= RESIDUAL_TOL for r in residuals)
     return CertificateReport(
         passed=passed,
-        log_abs_det=log_abs_det,
-        pivot_min=pivot_min,
-        condition_estimate=cond,
+        log_abs_det=chain.log_abs_det,
+        pivot_min=chain.pivot_min,
+        condition_estimate=chain.condition_estimate,
         residuals=residuals,
     )

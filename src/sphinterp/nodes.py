@@ -57,6 +57,13 @@ def read_count(value, name: str) -> int:
     return value
 
 
+def _odd_degree(n) -> int:
+    """``n`` as an int if it is an odd positive integer (``True`` is not), else ``InputError``."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1 or n % 2 == 0:
+        raise InputError(f"n must be an odd positive integer, got {n}")
+    return int(n)
+
+
 def read_number(value, name: str) -> float:
     """``value`` as a float if it is a JSON number (``true`` is not), else ``InputError``."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -109,8 +116,7 @@ class PartitionPlan:
     lambdas: tuple[int, ...]
 
     def __post_init__(self):
-        if self.n < 1 or self.n % 2 == 0:
-            raise InputError(f"n must be an odd positive integer, got {self.n}")
+        object.__setattr__(self, "n", _odd_degree(self.n))
         if len(self.lambdas) == 0:
             raise InputError("plan needs at least one part")
         if any(int(l) != l or l < 1 for l in self.lambdas):
@@ -164,8 +170,7 @@ def enumerate_partitions(n: int) -> list[PartitionPlan]:
     are distinct plans. Each is read off its cut points in 1..(n - 1) / 2,
     and ``combinations`` of a growing number of cuts yields that order.
     """
-    if n < 1 or n % 2 == 0:
-        raise InputError(f"n must be an odd positive integer, got {n}")
+    n = _odd_degree(n)
     total = (n + 1) // 2
     return [
         PartitionPlan(n=n, lambdas=tuple(b - a for a, b in zip((0, *cuts), (*cuts, total))))

@@ -5,7 +5,8 @@ for unused-import, unused-local and unused-private-name checks. Package
 ``__init__`` files are exempt from the import scan: their imports are the
 public re-exports. A fourth scan keeps a helper that several modules
 share public: no module under src/ imports an underscore name from a
-sibling module.
+sibling module. A fifth scan flags an attribute of a private class under
+src/ that is set but never read in its module.
 """
 
 import ast
@@ -169,3 +170,52 @@ def test_scan_flags_a_private_sibling_import():
 @pytest.mark.parametrize("module", SRC_MODULES)
 def test_no_private_sibling_imports(module):
     assert private_sibling_imports((ROOT / module).read_text(encoding="utf-8")) == []
+
+
+def unused_attributes(source: str) -> list[str]:
+    """``_Class.name`` for each dataclass field or ``self.name = ...`` of a
+    module-level ``_Class`` that no attribute access in the module reads."""
+    tree = ast.parse(source)
+    read = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    found = []
+    for cls in tree.body:
+        if not (isinstance(cls, ast.ClassDef) and cls.name.startswith("_")):
+            continue
+        fields = {
+            node.target.id for node in cls.body if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)
+        }
+        fields |= {
+            node.attr
+            for node in ast.walk(cls)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+            and isinstance(node.value, ast.Name) and node.value.id == "self"
+        }
+        found += [f"{cls.name}.{name}" for name in fields - read]
+    return sorted(found)
+
+
+def test_scan_flags_an_unused_attribute():
+    source = (
+        "@dataclass\n"
+        "class _Group:\n"
+        "    used: int\n"
+        "    psi: float\n"
+        "class _Chain:\n"
+        "    def __init__(self, group):\n"
+        "        self.group = group\n"
+        "        self.norm_inf, self.size = 1.0, group.used\n"
+        "        self.count: int = 0\n"
+        "        self.count += 1\n"
+        "        other.unread = 2\n"
+        "    def width(self):\n"
+        "        return self.size + self.group.used\n"
+        "class Public:\n"
+        "    def __init__(self):\n"
+        "        self.unread = 3\n"
+    )
+    assert unused_attributes(source) == ["_Chain.count", "_Chain.norm_inf", "_Group.psi"]
+
+
+@pytest.mark.parametrize("module", SRC_MODULES)
+def test_no_unused_attributes(module):
+    assert unused_attributes((ROOT / module).read_text(encoding="utf-8")) == []

@@ -4,6 +4,7 @@ import dataclasses
 import gc
 import math
 import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -74,12 +75,15 @@ def test_class_blocks_are_the_ring_spectra_of_the_coefficients(s, alpha):
     # rings a degree-(2s - 1) T is all of V_g, so the complex middle blocks
     # map the unknowns a - i fold b of its gathered (cos, sin) coefficients
     # to sqrt(2) times each ring's orthonormal rfft at the classes
-    # 0 < p < s, and the real end blocks map theirs to Re at 0 and s
+    # 0 < p < s, and the real end blocks map theirs to Re at 0 and s; the
+    # blocks read the powers 0..2s - 1 from per-ring tables
     rng = np.random.default_rng(100 * s + int(100 * alpha))
     T = random_spherical(2 * s - 1, rng)
     theta = np.sort(rng.uniform(0.1, PI - 0.1, size=2 * s))
     tags = np.full(2 * s, alpha)
-    mid, (j, k, fold), end, end_index = _class_blocks(np.cos(theta), np.sin(theta), tags, s)
+    powers = np.arange(2 * s)
+    tables = np.cos(theta)[:, None] ** powers, np.sin(theta)[:, None] ** powers
+    mid, (j, k, fold), end, end_index = _class_blocks(*tables, tags, s)
     spectra = np.fft.rfft(T.eval(theta[:, None], azimuth_grid(s, tags)), axis=1, norm="ortho")
     unknowns = T.coef[j, k, 0] - 1j * fold * T.coef[j, k, 1]
     pairs = [
@@ -123,9 +127,10 @@ def _chains_to_41():
 
 
 def test_class_blocks_match_the_broadcast_powers_bit_for_bit():
-    # the gathers from per-group power tables must reproduce the broadcast
-    # t**j sin**k exactly; n = 7 plans (2, 2) and (1, 1, 2) hold the s = 2
-    # Nyquist column, where a table pow differs from numpy's squaring
+    # the gathers from the chain's power tables, which hold the powers 0..n
+    # at every ring, must reproduce the broadcast t**j sin**k exactly; n = 7
+    # plans (2, 2) and (1, 1, 2) hold the s = 2 Nyquist column, where a
+    # table pow differs from numpy's squaring
     for nodes, chain in _chains_to_41():
         for g in chain.groups:
             th = nodes.theta[g.rings]
@@ -137,7 +142,7 @@ def test_class_blocks_match_the_broadcast_powers_bit_for_bit():
 
 def test_complex_blocks_have_the_singular_values_of_their_real_form():
     # a complex block's singular values, each counted twice, are those of
-    # its real 4 lam x 4 lam form; pivots counts them that way
+    # its real 4 lam x 4 lam form; the chain counts them that way
     for _, chain in _chains_to_41():
         for g in chain.groups:
             doubled = np.sort(np.repeat(np.linalg.svd(g.mid, compute_uv=False), 2, axis=-1), axis=-1)
@@ -475,28 +480,39 @@ def test_solve_and_certificate_never_assemble(monkeypatch):
 
 
 def _counting_chain(monkeypatch):
-    """Fresh chain cache, and counts of chain builds and block SVD sweeps."""
+    """Fresh chain cache, and counts of chain builds, block SVDs and chain
+    solves by their number of columns."""
     import sphinterp.interpolation as interpolation
 
-    counts = {"build": 0, "pivots": 0}
-    build, pivots = _Chain.__init__, _Chain.pivots
+    counts = {"build": 0, "svd": 0, "solve": Counter()}
+    build, chain_solve, svd = _Chain.__init__, _Chain.solve, np.linalg.svd
 
     def counted_build(self, nodes):
         counts["build"] += 1
         build(self, nodes)
 
-    def counted_pivots(self):
-        counts["pivots"] += 1
-        return pivots(self)
+    def counted_svd(*args, **kwargs):
+        counts["svd"] += 1
+        return svd(*args, **kwargs)
+
+    def counted_solve(self, rhs):
+        counts["solve"][rhs.shape[1]] += 1
+        return chain_solve(self, rhs)
 
     monkeypatch.setattr(_Chain, "__init__", counted_build)
-    monkeypatch.setattr(_Chain, "pivots", counted_pivots)
+    monkeypatch.setattr(_Chain, "solve", counted_solve)
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
     monkeypatch.setattr(interpolation, "_CHAINS", weakref.WeakKeyDictionary())
     return interpolation, counts
 
 
 @pytest.mark.parametrize("solve_first", [True, False])
 def test_solve_and_certificate_share_one_chain(monkeypatch, solve_first):
+    # one chain build, one block SVD sweep (two SVDs for each of the three
+    # groups) and one solve of the 3 probe columns per node set, in either
+    # order; the 1 data column of solve and the 2 of the certificate are
+    # solved twice each (the solve and its refinement step), and a second
+    # certificate call solves only its own data
     interpolation, counts = _counting_chain(monkeypatch)
     plan = PartitionPlan(n=9, lambdas=(2, 1, 2))
     nodes = build_nodeset(plan, default_latitudes(plan))
@@ -506,7 +522,10 @@ def test_solve_and_certificate_share_one_chain(monkeypatch, solve_first):
     ]
     for call in calls if solve_first else calls[::-1]:
         call()
-    assert counts == {"build": 1, "pivots": 1}
+    assert interpolation._PROBES == 3
+    assert counts == {"build": 1, "svd": 6, "solve": {3: 1, 1: 2, 2: 2}}
+    poisedness_certificate(nodes, trials=2, seed=1)
+    assert counts == {"build": 1, "svd": 6, "solve": {3: 1, 1: 2, 2: 4}}
     assert len(interpolation._CHAINS) == 1
 
 

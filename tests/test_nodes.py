@@ -89,6 +89,25 @@ def test_plan_validation():
         PartitionPlan(n=3, lambdas=(2, 0))
 
 
+@pytest.mark.parametrize("n, lambdas", [(5.0, (3,)), (True, (1,)), ("5", (3,)), (None, (3,)), (1.5, (1,))])
+def test_plan_degree_must_be_an_integer(n, lambdas):
+    # a float degree would reach numpy's range and arange and fail there
+    # with a TypeError, and True would make a plan of degree True
+    with pytest.raises(InputError, match="n must be an odd positive integer"):
+        PartitionPlan(n=n, lambdas=lambdas)
+    with pytest.raises(InputError, match="n must be an odd positive integer"):
+        enumerate_partitions(n)
+
+
+@pytest.mark.parametrize("n", [5, np.int64(5), np.int32(5)])
+def test_plan_degree_accepts_python_and_numpy_ints(n):
+    plan = PartitionPlan(n=n, lambdas=(1, 2))
+    assert type(plan.n) is int and plan == PartitionPlan(n=5, lambdas=(1, 2))
+    assert [p.lambdas for p in enumerate_partitions(n)] == [p.lambdas for p in enumerate_partitions(5)]
+    nodes = build_nodeset(plan, default_latitudes(plan))
+    assert json.loads(json.dumps(nodes.to_json_dict()))["n"] == 5
+
+
 def test_plan_degree_sequence():
     plan = PartitionPlan(n=7, lambdas=(1, 2, 1))
     assert plan.degrees() == (7, 5, 1, -1)
