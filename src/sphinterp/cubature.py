@@ -43,8 +43,7 @@ class CubatureRule:
     weights: tuple[float, ...]
 
     def __post_init__(self):
-        if self.m < 1:
-            raise InputError("m must be a positive integer")
+        object.__setattr__(self, "m", read_count(self.m, "m", 1))
         if len(self.latitudes) != 2 * self.m or len(self.weights) != 2 * self.m:
             raise InputError(f"need {2 * self.m} latitudes and weights")
         check_mirrored(self.latitudes)
@@ -150,14 +149,10 @@ def trig_quadrature_check(
     p_degree <= m; larger degrees may be probed to record the observed
     error without any claim.
     """
-    if m < 1:
-        raise InputError("m must be a positive integer")
-    if alpha not in (0, 1):
+    m, trials = read_count(m, "m", 1), read_count(trials, "trials", 1)
+    p_degree = read_count(p_degree, "p_degree", 0)
+    if read_count(alpha, "alpha") not in (0, 1):
         raise InputError("alpha must be 0 or 1")
-    if p_degree < 0:
-        raise InputError("p_degree must be nonnegative")
-    if trials < 1:
-        raise InputError(f"trials must be a positive integer, got {trials}")
     rng = np.random.default_rng(seed)
     phis = azimuth_grid(m, alpha)
     worst = 0.0

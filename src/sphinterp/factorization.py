@@ -35,7 +35,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InputError, InternalInconsistencyError
-from .nodes import NodeSet, azimuth_grid, check_mirrored, mirror_alphas
+from .nodes import NodeSet, azimuth_grid, check_mirrored, mirror_alphas, read_count
 from .spherical import SphericalPoly, fold_azimuth_modes, zero_spherical
 
 _PI = math.pi
@@ -68,11 +68,11 @@ class ChebyshevTestCase:
     sample_points: tuple[float, ...]
 
     def __post_init__(self):
-        if not self.r > self.s > 0:
+        if not read_count(self.r, "r") > read_count(self.s, "s") > 0:
             raise InputError(f"need r > s > 0, got r={self.r}, s={self.s}")
-        if self.epsilon not in (0, 1):
+        if read_count(self.epsilon, "epsilon") not in (0, 1):
             raise InputError("epsilon must be 0 or 1")
-        if self.power_sign not in (-1, 1):
+        if read_count(self.power_sign, "power_sign") not in (-1, 1):
             raise InputError("power_sign must be +1 or -1")
         pts = tuple(float(t) for t in self.sample_points)
         object.__setattr__(self, "sample_points", pts)
@@ -117,7 +117,7 @@ class ReductionFamily:
 
     def poly(self, k: int) -> np.ndarray:
         """Coefficients of h_k, low to high, degree r - s + k."""
-        if not 0 <= k < self.s:
+        if not 0 <= read_count(k, "k") < self.s:
             raise InputError(f"k must lie in 0..{self.s - 1}")
         coeffs = np.zeros(self.r - self.s + k + 1)
         coeffs[k:] = self.table[k]
@@ -130,6 +130,7 @@ def reduction_coefficients(r: int, s: int) -> ReductionFamily:
     a[k][j] = C(r-s, j) * prod_{i=0..j} (2k + 2i + 1)
                         * prod_{i=j..r-s} (2 (r - k - i) - 1).
     """
+    r, s = read_count(r, "r"), read_count(s, "s")
     if not r > s > 0:
         raise InputError(f"need r > s > 0, got r={r}, s={s}")
     table = []

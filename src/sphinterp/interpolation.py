@@ -46,7 +46,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InputError, PoisednessError
-from .nodes import NodeSet, azimuth_grid
+from .nodes import NodeSet, azimuth_grid, read_count
 from .spherical import SphericalPoly, band_mask
 
 RESIDUAL_TOL = 1e-8  # relative residual bound certified by solve/certificate
@@ -351,9 +351,7 @@ def poisedness_certificate(nodes: NodeSet, trials: int = 8, seed: int = 0) -> Ce
     ``RESIDUAL_TOL`` over ``trials`` (at least one) random right-hand sides,
     drawn from the nonnegative integer ``seed``.
     """
-    for name, value, low, kind in (("trials", trials, 1, "positive"), ("seed", seed, 0, "nonnegative")):
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
-            raise InputError(f"{name} must be a {kind} integer, got {value!r}")
+    trials, seed = read_count(trials, "trials", 1), read_count(seed, "seed", 0)
     chain = _chain(nodes)
     residuals = (math.inf,) * trials
     if not chain.exactly_singular:

@@ -33,8 +33,7 @@ def azimuth_grid(s: int, alpha) -> np.ndarray:
     ``alpha`` is one tag in [0, 2) or an array of them; the result has
     shape ``np.shape(alpha) + (2s,)``.
     """
-    if s < 1:
-        raise InputError("s must be a positive integer")
+    s = read_count(s, "s", 1)
     alpha = np.asarray(alpha, dtype=float)
     if not np.all((alpha >= 0.0) & (alpha < 2.0)):
         raise InputError(f"alpha must lie in [0, 2), got {alpha.tolist()!r}")
@@ -50,11 +49,12 @@ def mirror_alphas(count: int) -> np.ndarray:
     return (np.arange(count) >= count // 2).astype(float)
 
 
-def read_count(value, name: str) -> int:
-    """``value`` if it is an integer (a JSON ``true`` is not), else ``InputError``."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise InputError(f"{name} must be an integer, got {value!r}")
-    return value
+def read_count(value, name: str, low: int | None = None) -> int:
+    """``value`` as an int if it is an integer (``True`` is not) of at least ``low`` (0 or 1), else ``InputError``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or (low is not None and value < low):
+        kind = {None: "an integer", 0: "a nonnegative integer", 1: "a positive integer"}[low]
+        raise InputError(f"{name} must be {kind}, got {value!r}")
+    return int(value)
 
 
 def _odd_degree(n) -> int:
@@ -119,9 +119,7 @@ class PartitionPlan:
         object.__setattr__(self, "n", _odd_degree(self.n))
         if len(self.lambdas) == 0:
             raise InputError("plan needs at least one part")
-        if any(int(l) != l or l < 1 for l in self.lambdas):
-            raise InputError("plan parts must be positive integers")
-        object.__setattr__(self, "lambdas", tuple(int(l) for l in self.lambdas))
+        object.__setattr__(self, "lambdas", tuple(read_count(lam, "a plan part", 1) for lam in self.lambdas))
         if sum(self.lambdas) != (self.n + 1) // 2:
             raise InputError(
                 f"plan parts must sum to (n + 1) / 2 = {(self.n + 1) // 2}, "
@@ -330,14 +328,13 @@ def default_latitudes(plan: PartitionPlan) -> list[list[float]]:
 
 def seeded_latitudes(plan: PartitionPlan, seed: int) -> list[list[float]]:
     """Jitter the default cosines; separation stays at least 0.2 slots."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(read_count(seed, "seed", 0))
     return _cosine_latitudes(plan, rng.uniform(-0.4, 0.4, size=sum(plan.lambdas)))
 
 
 def equispaced_latitudes(m: int) -> list[float]:
     """2m mirror-paired latitudes, the northern ones at cos(theta) = q / (m + 1)."""
-    if m < 1:
-        raise InputError("m must be a positive integer")
+    m = read_count(m, "m", 1)
     return mirror(default_latitudes(PartitionPlan(n=2 * m - 1, lambdas=(m,)))[0])
 
 
@@ -349,8 +346,7 @@ def legendre_latitudes(m: int) -> list[float]:
     generated as pi - theta so that the mirror symmetry holds exactly in
     floating point.
     """
-    if m < 1:
-        raise InputError("m must be a positive integer")
+    m = read_count(m, "m", 1)
     zeros, _ = np.polynomial.legendre.leggauss(2 * m)
     return mirror(sorted(math.acos(x) for x in zeros[m:]))
 
@@ -360,8 +356,7 @@ def dimension_identity_check(s: int, lam: int) -> bool:
 
     dim(d) is (d+1)**2 for d >= 0 and 0 for d = -1; requires s - 2 lam >= -1.
     """
-    if s < 0 or lam < 1:
-        raise InputError("need s >= 0 and lam >= 1")
+    s, lam = read_count(s, "s", 0), read_count(lam, "lam", 1)
     d = s - 2 * lam
     if d < -1:
         raise InputError(f"s - 2 lam = {d} must be at least -1")

@@ -31,6 +31,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
+from .nodes import read_count
+
+TOL_FOLD_GRID = 1e-9  # largest accepted |sin(m phi - alpha pi / 2)| in FoldedForm.eval
 
 
 def band_mask(n: int) -> np.ndarray:
@@ -107,7 +110,7 @@ class SphericalPoly:
 
 
 def zero_spherical(n: int) -> SphericalPoly:
-    return spherical_from_vector(n, np.zeros((n + 1) ** 2))
+    return spherical_from_vector(n, np.zeros((read_count(n, "n", 0) + 1) ** 2))
 
 
 def basis_index_order(n: int) -> list[tuple[int, str, int]]:
@@ -122,8 +125,7 @@ def basis_index_order(n: int) -> list[tuple[int, str, int]]:
 def spherical_from_vector(n: int, vec) -> SphericalPoly:
     """Rebuild a SphericalPoly from its canonical coefficient vector."""
     vec = np.asarray(vec, dtype=float)
-    if n < 0:
-        raise InputError("degree must be nonnegative")
+    n = read_count(n, "n", 0)
     if vec.shape != ((n + 1) ** 2,):
         raise InputError(f"coefficient vector must have length {(n + 1) ** 2}")
     coef = np.zeros((n + 1, n + 1, 2))
@@ -133,7 +135,7 @@ def spherical_from_vector(n: int, vec) -> SphericalPoly:
 
 def random_spherical(n: int, rng: np.random.Generator) -> SphericalPoly:
     """Random polynomial with standard-normal coefficients in every band."""
-    return spherical_from_vector(n, rng.standard_normal((n + 1) ** 2))
+    return spherical_from_vector(n, rng.standard_normal((read_count(n, "n", 0) + 1) ** 2))
 
 
 def multiply_linear_z(T: SphericalPoly, c: float) -> SphericalPoly:
@@ -185,7 +187,7 @@ class FoldedForm:
     def eval(self, theta: float, phi: float) -> float:
         m = self.m
         gate = math.sin(m * phi - self.alpha * math.pi / 2.0)
-        if abs(gate) > 1e-9:
+        if abs(gate) > TOL_FOLD_GRID:
             raise InputError(
                 f"phi {phi!r} is not on the fold grid for m={m}, alpha={self.alpha!r}"
             )

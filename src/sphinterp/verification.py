@@ -116,7 +116,7 @@ def _symmetric_thetas(lam: int, rng: np.random.Generator) -> list[float]:
 # ---------------------------------------------------------------------------
 
 
-def poisedness_suite(n: int, seed: int = 0, trials: int = 3) -> list[dict]:
+def poisedness_suite(n: int, seed: int, trials: int) -> list[dict]:
     """Certificates, plant-and-recover, and chain agreement for every plan.
 
     A solve that raises ``PoisednessError`` becomes a failed
@@ -201,7 +201,7 @@ def catalog_suite(n: int) -> list[dict]:
 # ---------------------------------------------------------------------------
 
 
-def chebyshev_suite(rmax: int = 6, seed: int = 0) -> list[dict]:
+def chebyshev_suite(rmax: int, seed: int) -> list[dict]:
     rows = []
     rng = np.random.default_rng(seed)
     for r in range(2, rmax + 1):
@@ -246,7 +246,7 @@ def chebyshev_suite(rmax: int = 6, seed: int = 0) -> list[dict]:
 # ---------------------------------------------------------------------------
 
 
-def factorization_suite(mmax: int = 5, seeds: int = 20, seed: int = 0) -> list[dict]:
+def factorization_suite(mmax: int, seeds: int, seed: int) -> list[dict]:
     rows = []
     rng = np.random.default_rng(seed)
     for m in range(1, mmax + 1):
@@ -330,7 +330,7 @@ def _plant_vanishing(T: SphericalPoly, theta: float, alpha: float) -> SphericalP
     return SphericalPoly(coef)
 
 
-def lemmas_suite(mmax: int = 6, fold_trials: int = 50, seed: int = 0) -> list[dict]:
+def lemmas_suite(mmax: int, fold_trials: int, seed: int) -> list[dict]:
     rows = []
     rng = np.random.default_rng(seed)
     for m in range(1, mmax + 1):
@@ -388,7 +388,7 @@ def lemmas_suite(mmax: int = 6, fold_trials: int = 50, seed: int = 0) -> list[di
 # ---------------------------------------------------------------------------
 
 
-def cubature_suite(mmax: int = 6, trig_trials: int = 50, seed: int = 0) -> list[dict]:
+def cubature_suite(mmax: int, trig_trials: int, seed: int) -> list[dict]:
     rows = []
     rng = np.random.default_rng(seed)
     for m in range(1, mmax + 1):
@@ -476,7 +476,7 @@ def cubature_suite(mmax: int = 6, trig_trials: int = 50, seed: int = 0) -> list[
 # ---------------------------------------------------------------------------
 
 
-def dimension_suite(smax: int = 20) -> list[dict]:
+def dimension_suite(smax: int) -> list[dict]:
     rows = []
     for s in range(0, smax + 1):
         for lam in range(1, (s + 1) // 2 + 1):

@@ -849,3 +849,107 @@ def test_verify_cubature_records_a_weight_sum_error_as_failure(tmp_path: Path):
     assert "sum to" in raised[0]["value"]
     assert not any(r["case"] == "m13-equispaced" and r["metric"] != "weight_sum" for r in rows)
     assert any(r["case"] == "m13-seeded" and r["metric"] == "exactness_scaled_err" for r in rows)
+
+
+_SOLVE_OUT = ["--out-coeffs", "{coeffs}", "--out-report", "{report}"]
+
+
+@pytest.mark.parametrize(
+    "gen_args, data, args, code, message, writes",
+    [
+        pytest.param(
+            ["--n", "21", "--plan", "2,9"],
+            None,
+            ["interpolate", "--nodes", "{nodes}", "--function", "one", *_SOLVE_OUT],
+            1,
+            "error: solve failed: collocation matrix is singular to working precision (condition estimate ",
+            False,
+            id="near-singular-solve",
+        ),
+        pytest.param(
+            ["--n", "5", "--plan", "3"],
+            None,
+            ["interpolate", "--nodes", "{nodes}", "--function", "expz", "--residual-tol", "1e-300", *_SOLVE_OUT],
+            1,
+            "exceeds --residual-tol 1.000e-300",
+            True,
+            id="residual-above-tol",
+        ),
+        pytest.param(
+            ["--n", "5", "--plan", "3"],
+            "index,value\n0,1.0\n0,2.0\n",
+            ["interpolate", "--nodes", "{nodes}", "--data", "{data}", *_SOLVE_OUT],
+            2,
+            "error: {data}:3: duplicate index 0",
+            False,
+            id="duplicate-index",
+        ),
+        pytest.param(
+            ["--n", "5", "--plan", "3"],
+            "index,value\n0,1.0\n1,2.0\n",
+            ["interpolate", "--nodes", "{nodes}", "--data", "{data}", *_SOLVE_OUT],
+            2,
+            "error: {data}: data must cover indices 0..35, got 2 rows",
+            False,
+            id="missing-indices",
+        ),
+        pytest.param(
+            None,
+            None,
+            ["gen-nodes", "--n", "5", "--plan", "2,1", "--latitudes", "legendre", "--out", "{nodes}"],
+            2,
+            "error: legendre latitudes require a single-group plan",
+            None,
+            id="legendre-multi-group",
+        ),
+        pytest.param(
+            None,
+            None,
+            ["gen-nodes", "--n", "5", "--plan", "3", "--latitudes", "file", "--out", "{nodes}"],
+            2,
+            "error: --latitudes file requires --lat-file",
+            None,
+            id="gen-nodes-no-lat-file",
+        ),
+        pytest.param(
+            None,
+            None,
+            ["cubature", "--m", "2", "--latitudes", "file", "--out-rule", "{coeffs}", "--out-cert", "{report}"],
+            2,
+            "error: --latitudes file requires --lat-file",
+            False,
+            id="cubature-no-lat-file",
+        ),
+        pytest.param(
+            ["--n", "5", "--plan", "3"],
+            None,
+            ["interpolate", "--nodes", "{nodes}", "--function", "nope", *_SOLVE_OUT],
+            2,
+            "error: unknown function 'nope'; choose from ",
+            False,
+            id="unknown-function",
+        ),
+        pytest.param(
+            None,
+            None,
+            ["gen-nodes", "--n", "5", "--plan", "2,x", "--out", "{nodes}"],
+            2,
+            "error: plan '2,x' is not a comma-separated integer list",
+            None,
+            id="plan-not-integers",
+        ),
+    ],
+)
+def test_cli_failure_exits_with_one_error_line(tmp_path: Path, gen_args, data, args, code, message, writes):
+    paths = {name: str(tmp_path / f"{name}.out") for name in ("nodes", "data", "coeffs", "report")}
+    if gen_args is not None:
+        assert run_cli("gen-nodes", *gen_args, "--out", paths["nodes"]).returncode == 0
+    if data is not None:
+        Path(paths["data"]).write_text(data)
+    res = run_cli(*(a.format(**paths) for a in args))
+    assert res.returncode == code
+    assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1, res.stderr
+    assert message.format(**paths) in res.stderr
+    assert "Traceback" not in res.stderr
+    if writes is not None:
+        assert all(Path(paths[name]).exists() == writes for name in ("coeffs", "report"))

@@ -23,7 +23,7 @@ from sphinterp import (
     seeded_latitudes,
     zero_spherical,
 )
-from sphinterp.nodes import read_number
+from sphinterp.nodes import read_count, read_number
 
 PI = math.pi
 
@@ -430,6 +430,30 @@ def test_nodeset_json_rejects_counts_and_derived_fields_that_disagree(edit, matc
 def test_read_number_accepts_json_numbers_as_floats(value):
     got = read_number(value, "x")
     assert type(got) is float and got == value
+
+
+@pytest.mark.parametrize(
+    "value, low, message",
+    [
+        (2.0, None, "x must be an integer, got 2.0"),
+        (True, None, "x must be an integer, got True"),
+        ("3", None, "x must be an integer, got '3'"),
+        (-1, 0, "x must be a nonnegative integer, got -1"),
+        (False, 0, "x must be a nonnegative integer, got False"),
+        (0, 1, "x must be a positive integer, got 0"),
+        (1.0, 1, "x must be a positive integer, got 1.0"),
+    ],
+)
+def test_read_count_rejects_what_is_not_a_count_of_the_bound(value, low, message):
+    with pytest.raises(InputError) as exc:
+        read_count(value, "x", low)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("value, low", [(-5, None), (0, 0), (3, 1), (np.int64(3), 1), (np.uint8(0), 0)])
+def test_read_count_returns_python_ints(value, low):
+    got = read_count(value, "x", low)
+    assert type(got) is int and got == value
 
 
 def test_nodeset_json_without_points_loads_the_same_node_set():

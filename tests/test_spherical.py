@@ -16,6 +16,7 @@ from sphinterp import (
     spherical_from_vector,
     zero_spherical,
 )
+from sphinterp.spherical import TOL_FOLD_GRID
 
 
 def band_poly(n, k, kind, coeffs):
@@ -252,6 +253,19 @@ def test_fold_rejects_off_grid_eval():
     folded = fold_azimuth_modes(T, 0.0)
     with pytest.raises(InputError):
         folded.eval(0.8, 0.3)  # sin(phi) != 0
+
+
+@pytest.mark.parametrize("offset, on_grid", [(1e-8, False), (1e-12, True)])
+def test_fold_grid_gate_is_tol_fold_grid(offset, on_grid):
+    # at m = 2, alpha = 0 the gate is sin(2 phi), about 2 * offset next to phi = pi / 2
+    folded = fold_azimuth_modes(random_spherical(3, np.random.default_rng(8)), 0.0)
+    phi = math.pi / 2 + offset
+    assert (abs(math.sin(2 * phi)) <= TOL_FOLD_GRID) == on_grid
+    if on_grid:
+        assert math.isfinite(folded.eval(0.8, phi))
+    else:
+        with pytest.raises(InputError, match="not on the fold grid for m=2"):
+            folded.eval(0.8, phi)
 
 
 def test_eval_spherical_agrees_with_band_formula():
