@@ -153,7 +153,7 @@ def trig_quadrature_check(
     p_degree = read_count(p_degree, "p_degree", 0)
     if read_count(alpha, "alpha") not in (0, 1):
         raise InputError("alpha must be 0 or 1")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(read_count(seed, "seed", 0))
     phis = azimuth_grid(m, alpha)
     worst = 0.0
     for _ in range(trials):
@@ -175,7 +175,6 @@ def analytic_basis_integral(k: int, j: int) -> float:
 
 @dataclass(frozen=True)
 class ExactnessReport:
-    m: int
     max_abs_error: float
     errors: tuple[float, ...]
 
@@ -209,5 +208,5 @@ def exactness_certificate(rule: CubatureRule) -> ExactnessReport:
     exact = np.array([[analytic_basis_integral(k, j) for j in freqs] for k in freqs])
     errors = (rule_vals - exact[:, None, :])[band_mask(n)].tolist()  # [k, kind, j]
     max_err = max(abs(e) for e in errors)
-    return ExactnessReport(m=rule.m, max_abs_error=max_err, errors=tuple(errors))
+    return ExactnessReport(max_abs_error=max_err, errors=tuple(errors))
 

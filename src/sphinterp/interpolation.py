@@ -163,10 +163,8 @@ def _class_blocks(t_pow, s_pow, alpha, s: int):
 class _Group:
     lam: int
     s: int
-    degree: int
     rings: slice
     nodes: slice
-    later_nodes: slice
     trig: np.ndarray  # (2 lam, 2 s, n + 1, 2): cos and sin of k phi at each node of each ring
     mid: np.ndarray  # (s - 1, 2 lam, 2 lam) complex middle-class blocks
     mid_cols: tuple  # (j, k, fold) of each middle column
@@ -190,7 +188,7 @@ class _Chain:
     def __init__(self, nodes: NodeSet):
         plan = nodes.plan
         n = plan.n
-        self.size = (n + 1) ** 2
+        self.size = nodes.count()
         t_all = np.cos(nodes.theta)
         powers = np.arange(n + 1)
         self.t_pow = t_all[:, None] ** powers
@@ -204,7 +202,7 @@ class _Chain:
         self.groups: list[_Group] = []
         sigma = []  # singular values of the diagonal blocks; a complex block's count twice
         psi = np.ones(n + 1)  # product of the earlier Pi at each ring
-        for lam, s, d, rings in zip(plan.lambdas, plan.azimuth_half_counts(), plan.degrees(), plan.ring_slices()):
+        for lam, s, rings in zip(plan.lambdas, plan.azimuth_half_counts(), plan.ring_slices()):
             kphi = azimuth_grid(s, nodes.alpha[rings])[..., None] * powers  # [ring, azimuth, k]
             cos, sin = np.cos(kphi), np.sin(kphi)
             row_sums = np.sum(weights[rings, None] * (np.abs(cos) + np.abs(sin)), axis=-1)
@@ -218,10 +216,8 @@ class _Chain:
                 _Group(
                     lam=lam,
                     s=s,
-                    degree=d,
                     rings=rings,
                     nodes=slice(starts[rings.start], starts[rings.stop]),
-                    later_nodes=slice(starts[rings.stop], None),
                     trig=np.stack([cos, sin], axis=-1),
                     mid=mid,
                     mid_cols=mid_cols,
@@ -267,7 +263,7 @@ class _Chain:
         parts = []
         for i, g in enumerate(self.groups):
             spectra = np.fft.rfft(work[g.nodes].reshape(2 * g.lam, 2 * g.s, cols), axis=1, norm="ortho")
-            r = np.zeros((2 * g.lam, g.degree + 1, 2, cols))
+            r = np.zeros((2 * g.lam, g.s + g.lam, 2, cols))
             j, k, fold = g.mid_cols
             z = np.linalg.solve(g.mid, math.sqrt(2.0) * spectra[:, 1 : g.s].transpose(1, 0, 2))
             r[j, k, 0] = z.real
@@ -277,10 +273,10 @@ class _Chain:
             if i + 1 < len(self.groups):
                 if not np.all(g.pi_later):
                     raise np.linalg.LinAlgError("a later ring shares a latitude cosine with this group")
-                work[g.later_nodes] = (work[g.later_nodes] - self.values(r, i + 1)) / g.pi_later[:, None]
+                work[g.nodes.stop :] = (work[g.nodes.stop :] - self.values(r, i + 1)) / g.pi_later[:, None]
         coef = None
         for g, r in zip(reversed(self.groups), reversed(parts)):
-            full = np.zeros((g.degree + 1, g.degree + 1, 2, cols))
+            full = np.zeros((g.s + g.lam, g.s + g.lam, 2, cols))
             full[: 2 * g.lam] = r
             if coef is not None:
                 width = coef.shape[0]

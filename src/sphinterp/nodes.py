@@ -46,6 +46,7 @@ def mirror_alphas(count: int) -> np.ndarray:
     The northern half gets the unrotated grid (alpha = 0), the mirrored
     half the half-step rotated grid (alpha = 1).
     """
+    count = read_count(count, "count", 0)
     return (np.arange(count) >= count // 2).astype(float)
 
 
@@ -147,9 +148,6 @@ class PartitionPlan:
         ends = list(accumulate((2 * lam for lam in self.lambdas), initial=0))
         return tuple(slice(a, b) for a, b in zip(ends, ends[1:]))
 
-    def point_count(self) -> int:
-        return (self.n + 1) ** 2
-
     def summary(self) -> str:
         """Human-readable per-group sizes, e.g. '4 latitudes with 4 points'."""
         parts = [
@@ -211,7 +209,7 @@ class NodeSet:
         return self.plan.n
 
     def count(self) -> int:
-        return self.plan.point_count()
+        return (self.n + 1) ** 2
 
     def points(self) -> np.ndarray:
         """(theta, phi) rows: groups, then rings, then azimuths."""

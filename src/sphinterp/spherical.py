@@ -38,7 +38,7 @@ TOL_FOLD_GRID = 1e-9  # largest accepted |sin(m phi - alpha pi / 2)| in FoldedFo
 
 def band_mask(n: int) -> np.ndarray:
     """Boolean mask[k, kind, j] of the degree-n basis: j <= n - k, no b_0."""
-    k = np.arange(n + 1)
+    k = np.arange(read_count(n, "n", 0) + 1)
     fits = np.add.outer(k, k) <= n
     mask = np.stack([fits, fits], axis=1)
     mask[0, 1] = False

@@ -9,7 +9,6 @@ assert on them. Status is ``pass``/``fail`` for asserted checks and
 from __future__ import annotations
 
 import math
-from typing import Sequence
 
 import numpy as np
 
@@ -37,7 +36,7 @@ from .factorization import (
 from .interpolation import (
     RESIDUAL_TOL,
     InterpolationProblem,
-    assemble_at_points,
+    assemble_matrix,
     poisedness_certificate,
     solve,
 )
@@ -51,7 +50,6 @@ from .nodes import (
     equispaced_latitudes,
     legendre_latitudes,
     mirror,
-    mirror_alphas,
     seeded_latitudes,
 )
 from .spherical import (
@@ -94,10 +92,6 @@ def _row(suite: str, case: str, metric: str, value, threshold, ok) -> dict:
         "threshold": threshold,
         "status": status,
     }
-
-
-def suite_passed(rows: Sequence[dict]) -> bool:
-    return all(r["status"] != "fail" for r in rows)
 
 
 def _jittered_points(count: int, rng: np.random.Generator) -> list[float]:
@@ -274,8 +268,7 @@ def factorization_suite(mmax: int, seeds: int, seed: int) -> list[dict]:
                 # full-degree step: the grid is square, so kernel triviality
                 # is the smallest scaled singular value of its collocation
                 thetas = _symmetric_thetas(lam, rng)
-                grid = np.column_stack([np.repeat(thetas, 2 * m), azimuth_grid(m, mirror_alphas(2 * lam)).ravel()])
-                mat = assemble_at_points(s_deg, grid)
+                mat = assemble_matrix(build_nodeset(PartitionPlan(n=s_deg, lambdas=(lam,)), [thetas[:lam]]))
                 ratio = float(scaled_sigma_min(mat))
                 rows.append(_row("factorization", case, "grid_sigma_min", ratio, SIGMA_TOL, ratio > SIGMA_TOL))
                 out = factor_step(zero_spherical(s_deg), thetas)
@@ -429,11 +422,8 @@ def cubature_suite(mmax: int, trig_trials: int, seed: int) -> list[dict]:
                 )
 
         # agreement with interpolation through the plan with one group
-        n = 2 * m - 1
-        plan = PartitionPlan(n=n, lambdas=((n + 1) // 2,))
         rule = legendre_rule(m)
-        north = list(rule.latitudes[:m])
-        nodes = build_nodeset(plan, [north])
+        nodes = build_nodeset(PartitionPlan(n=2 * m - 1, lambdas=(m,)), [rule.latitudes[:m]])
         f = lambda th, ph: math.exp(math.cos(th))
         data = [f(th, ph) for th, ph in nodes.points().tolist()]
         try:

@@ -16,12 +16,15 @@ from sphinterp import (
     InputError,
     PartitionPlan,
     azimuth_grid,
+    band_mask,
+    basis_index_order,
     build_nodeset,
     chebyshev_collocation_det,
     default_latitudes,
     dimension_identity_check,
     equispaced_latitudes,
     legendre_latitudes,
+    mirror_alphas,
     poisedness_certificate,
     random_spherical,
     reduction_coefficients,
@@ -65,6 +68,10 @@ def _cheb(**counts):
         pytest.param(lambda: _cheb(s=1.0), "s", id="cheb-s"),
         pytest.param(lambda: _cheb(epsilon=False), "epsilon", id="cheb-epsilon"),
         pytest.param(lambda: _cheb(power_sign=1.0), "power_sign", id="cheb-power_sign"),
+        pytest.param(lambda: band_mask(2.5), "n", id="band_mask"),
+        pytest.param(lambda: basis_index_order(-2), "n", id="basis_index_order"),
+        pytest.param(lambda: mirror_alphas(2.5), "count", id="mirror_alphas"),
+        pytest.param(lambda: trig_quadrature_check(1, 2, 0, 3, seed=0.5), "seed", id="trig-seed"),
     ],
 )
 def test_a_count_that_is_not_an_integer_is_input_error_naming_it(call, name):
