@@ -12,11 +12,12 @@ vanishes on group g, so the group's values determine the V_g part alone:
   frequency; the class {p, 2 s_g - p} is one complex 2 lambda_g square
   block, the classes 0 and s_g are real 2 lambda_g squares, each ring
   keeps its own azimuth phase, and one batched solve handles each kind;
-* the V_g part is subtracted at the later rings (its bands evaluated once
-  per ring, then one batched matmul per later group with that group's
-  cos/sin k phi table), the rest is divided by Pi_g(cos theta), and the
-  chain recurses at degree d_g - 2 lambda_g;
-* the monomial bands are rebuilt as a_k = r_k + Pi_g q_k.
+* the sweep pulls: with Psi_g = Pi_0 ... Pi_(g-1) and coef the sum of the
+  earlier Psi_h r_h, group g reads its data as (f - coef(x)) / Psi_g(x) at
+  its own nodes only (the bands of coef evaluated once per ring, then one
+  batched matmul with the group's cos/sin k phi table);
+* its V_g solution r_g is added to coef as Psi_g r_g, one matmul with a
+  table of the monomial coefficients of t**j Psi_g.
 
 ``solve`` and ``poisedness_certificate`` share one chain per node set,
 built once and freed with the node set. It holds every number that
@@ -65,10 +66,11 @@ class InterpolationProblem:
         count = self.nodes.count()
         if len(self.data) != count:
             raise InputError(f"data length {len(self.data)} != node count {count}")
-        object.__setattr__(self, "data", tuple(float(v) for v in self.data))
-        bad = next((i for i, v in enumerate(self.data) if not math.isfinite(v)), None)
-        if bad is not None:
-            raise InputError(f"data must be finite, got {self.data[bad]!r} at index {bad}")
+        values = np.fromiter(self.data, dtype=float, count=count)
+        object.__setattr__(self, "data", tuple(values.tolist()))
+        bad = np.flatnonzero(~np.isfinite(values))
+        if bad.size:
+            raise InputError(f"data must be finite, got {self.data[bad[0]]!r} at index {bad[0]}")
 
 
 @dataclass(frozen=True)
@@ -170,15 +172,16 @@ class _Group:
     mid_cols: tuple  # (j, k, fold) of each middle column
     end: np.ndarray  # (2, 2 lam, 2 lam): classes 0 and s
     end_index: tuple
-    pi_coeffs: np.ndarray  # Pi_g, low to high
-    pi_later: np.ndarray  # Pi_g(cos theta) at every later node
+    psi: np.ndarray  # Psi_g(cos theta) at each ring
+    psi_table: np.ndarray  # (n + 1, 2 lam): column j holds t**j Psi_g, low to high
 
 
 class _Chain:
     """The chain solver for one node set, and every number that depends
     only on the node set: ``pivot_min``, ``log_abs_det`` and
     ``condition_estimate``, computed once here. A block that is exactly
-    singular sets ``exactly_singular``, log|det| -inf and kappa inf.
+    singular, or a ring where Psi_g vanishes, sets ``exactly_singular``,
+    log|det| -inf and kappa inf.
 
     Coefficients live in arrays coef[j, k, kind, column], one
     ``SphericalPoly.coef`` per column.
@@ -202,16 +205,20 @@ class _Chain:
         self.groups: list[_Group] = []
         sigma = []  # singular values of the diagonal blocks; a complex block's count twice
         psi = np.ones(n + 1)  # product of the earlier Pi at each ring
+        psi_poly = np.ones(1)  # Psi_g, high to low, one factor at a time as np.poly multiplies
         for lam, s, rings in zip(plan.lambdas, plan.azimuth_half_counts(), plan.ring_slices()):
-            kphi = azimuth_grid(s, nodes.alpha[rings])[..., None] * powers  # [ring, azimuth, k]
-            cos, sin = np.cos(kphi), np.sin(kphi)
+            tags, tag_of = np.unique(nodes.alpha[rings], return_inverse=True)
+            kphi = azimuth_grid(s, tags)[..., None] * powers  # [tag, azimuth, k]
+            cos, sin = np.cos(kphi)[tag_of], np.sin(kphi)[tag_of]
             row_sums = np.sum(weights[rings, None] * (np.abs(cos) + np.abs(sin)), axis=-1)
             norm_inf = max(norm_inf, float(np.max(row_sums)))
             t = t_all[rings]
             mid, mid_cols, end, end_index = _class_blocks(self.t_pow[rings], self.s_pow[rings], nodes.alpha[rings], s)
             mid_sigma, end_sigma = (np.linalg.svd(psi[rings, None] * b, compute_uv=False).ravel() for b in (mid, end))
             sigma += [mid_sigma, mid_sigma, end_sigma]
-            pi_rings = np.prod(t_all[rings.stop :, None] - t[None, :], axis=1)
+            psi_table = np.zeros((n + 1, 2 * lam))
+            for j in range(2 * lam):
+                psi_table[j : j + rings.start + 1, j] = psi_poly[::-1]
             self.groups.append(
                 _Group(
                     lam=lam,
@@ -223,32 +230,40 @@ class _Chain:
                     mid_cols=mid_cols,
                     end=end,
                     end_index=end_index,
-                    pi_coeffs=np.poly(t)[::-1],
-                    pi_later=np.repeat(pi_rings, ring_sizes[rings.stop :]),
+                    psi=psi[rings],
+                    psi_table=psi_table,
                 )
             )
-            psi[rings.stop :] *= pi_rings
+            psi[rings.stop :] *= np.prod(t_all[rings.stop :, None] - t[None, :], axis=1)
+            for c in t:
+                psi_poly = np.convolve(psi_poly, [1.0, -c])
 
         sigma = np.concatenate(sigma)
         self.pivot_min, self.log_abs_det = float(sigma.min()), float(np.sum(np.log(sigma)))
         probes = np.random.default_rng(_PROBE_SEED).choice((-1.0, 1.0), size=(self.size, _PROBES))
-        self.exactly_singular = False
+        # Psi_g vanishes where a ring shares a latitude cosine with an earlier group
+        self.exactly_singular, cond = not np.all(psi), math.inf
         try:
-            cond = norm_inf * float(np.max(np.abs(self.solve(probes))))
+            if not self.exactly_singular:
+                cond = norm_inf * float(np.max(np.abs(self.solve(probes))))
         except np.linalg.LinAlgError:
-            self.exactly_singular, self.log_abs_det, cond = True, -math.inf, math.inf
+            self.exactly_singular = True
+        if self.exactly_singular:
+            self.log_abs_det = -math.inf
         self.condition_estimate = max(cond, 1.0) if math.isfinite(cond) else math.inf
 
-    def values(self, coef: np.ndarray, first: int = 0) -> np.ndarray:
-        """Values of coefficient columns at the nodes of groups first, first
-        + 1, ...: [node, column]. The bands are evaluated once per ring, then
-        each group's rings take one batched matmul with its cos/sin table."""
+    def values(self, coef: np.ndarray, groups: slice = slice(None)) -> np.ndarray:
+        """Values of coefficient columns at the nodes of a run of consecutive
+        groups, all of them by default: [node, column]. The bands are
+        evaluated once per ring, then each group's rings take one batched
+        matmul with its cos/sin table."""
         width, bands, _, cols = coef.shape
-        r0 = self.groups[first].rings.start
-        vals = (self.t_pow[r0:, :width] @ coef.reshape(width, -1)).reshape(-1, bands, 2, cols)
-        vals *= self.s_pow[r0:, :bands, None, None]
+        chosen = self.groups[groups]
+        r0, r1 = chosen[0].rings.start, chosen[-1].rings.stop
+        vals = (self.t_pow[r0:r1, :width] @ coef.reshape(width, -1)).reshape(-1, bands, 2, cols)
+        vals *= self.s_pow[r0:r1, :bands, None, None]
         out = []
-        for g in self.groups[first:]:
+        for g in chosen:
             ring_vals = vals[g.rings.start - r0 : g.rings.stop - r0].reshape(2 * g.lam, 2 * bands, cols)
             out.append((g.trig.reshape(2 * g.lam, 2 * g.s, -1)[:, :, : 2 * bands] @ ring_vals).reshape(-1, cols))
         return np.concatenate(out)
@@ -256,33 +271,28 @@ class _Chain:
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Coefficients of the interpolants of the columns of rhs (node order).
 
-        Raises ``np.linalg.LinAlgError`` when a block is exactly singular.
+        One pull sweep: group g solves its frequency blocks for r_g on
+        (rhs - coef(x)) / Psi_g(x) at its own nodes, then adds Psi_g r_g to
+        coef. Raises ``np.linalg.LinAlgError`` when a block is exactly singular.
         """
         cols = rhs.shape[1]
-        work = np.array(rhs, dtype=float)
-        parts = []
+        width = self.t_pow.shape[1]
+        coef = np.zeros((width, width, 2, cols))
         for i, g in enumerate(self.groups):
-            spectra = np.fft.rfft(work[g.nodes].reshape(2 * g.lam, 2 * g.s, cols), axis=1, norm="ortho")
+            data = rhs[g.nodes].reshape(2 * g.lam, 2 * g.s, cols)
+            if i:  # at the first group coef is zero and Psi_0 = 1
+                data = (data - self.values(coef, slice(i, i + 1)).reshape(data.shape)) / g.psi[:, None, None]
+            spectra = np.fft.rfft(data, axis=1, norm="ortho")
             r = np.zeros((2 * g.lam, g.s + g.lam, 2, cols))
             j, k, fold = g.mid_cols
             z = np.linalg.solve(g.mid, math.sqrt(2.0) * spectra[:, 1 : g.s].transpose(1, 0, 2))
             r[j, k, 0] = z.real
             r[j, k, 1] = -fold[..., None] * z.imag
             r[g.end_index] = np.linalg.solve(g.end, np.stack([spectra[:, 0].real, spectra[:, g.s].real]))
-            parts.append(r)
-            if i + 1 < len(self.groups):
-                if not np.all(g.pi_later):
-                    raise np.linalg.LinAlgError("a later ring shares a latitude cosine with this group")
-                work[g.nodes.stop :] = (work[g.nodes.stop :] - self.values(r, i + 1)) / g.pi_later[:, None]
-        coef = None
-        for g, r in zip(reversed(self.groups), reversed(parts)):
-            full = np.zeros((g.s + g.lam, g.s + g.lam, 2, cols))
-            full[: 2 * g.lam] = r
-            if coef is not None:
-                width = coef.shape[0]
-                for shift, c in enumerate(g.pi_coeffs):
-                    full[shift : shift + width, :width] += c * coef
-            coef = full
+            if i:
+                coef[:, : g.s + g.lam] += (g.psi_table @ r.reshape(2 * g.lam, -1)).reshape(width, -1, 2, cols)
+            else:
+                coef[: 2 * g.lam, : g.s + g.lam] = r
         return coef
 
     @np.errstate(over="ignore", invalid="ignore")  # non-finite values reach SphericalPoly, which rejects them

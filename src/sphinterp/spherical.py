@@ -85,20 +85,24 @@ class SphericalPoly:
     def eval(self, theta, phi):
         """Evaluate at raw angles; accepts floats or numpy arrays.
 
-        One Horner pass per band over its own slice, both kinds at once.
+        One Horner pass per band over its own slice, both kinds at once, at
+        each distinct theta; cos and sin of k phi once per distinct phi.
         """
         polyval = np.polynomial.polynomial.polyval
         n = self.degree
-        c = np.cos(theta)
-        s = np.sin(theta)
-        val = polyval(c, self.coef[:, 0, 0])
+        thetas, at_theta = np.unique(theta, return_inverse=True)
+        phis, at_phi = np.unique(phi, return_inverse=True)
+        at_theta, at_phi = at_theta.reshape(np.shape(theta)), at_phi.reshape(np.shape(phi))
+        c = np.cos(thetas)
+        s = np.sin(thetas)
+        val = polyval(c, self.coef[:, 0, 0])[at_theta]
         sk = 1.0
         for k in range(1, n + 1):
             sk = sk * s
             a, b = polyval(c, self.coef[: n - k + 1, k])
-            val = val + a * sk * np.cos(k * phi)
-            val = val + b * sk * np.sin(k * phi)
-        return val
+            val = val + (a * sk)[at_theta] * np.cos(k * phis)[at_phi]
+            val = val + (b * sk)[at_theta] * np.sin(k * phis)[at_phi]
+        return val[()]
 
     def coeff_scale(self) -> float:
         """Max absolute coefficient over all bands."""

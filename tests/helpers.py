@@ -8,7 +8,7 @@ rational finite differences, cubature weights come from exact rational
 Lagrange cardinals, the mixed parity systems are filled entry by entry,
 cubature exactness errors come from the node weights applied to the dense
 collocation matrix, and points come from a jittered grid with a guaranteed
-separation.
+separation; spherical polynomials are evaluated point by point.
 """
 
 from __future__ import annotations
@@ -60,6 +60,24 @@ def extended_solve(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     for row in range(size - 1, -1, -1):
         x[row] = (b[row] - a[row, row + 1 :] @ x[row + 1 :]) / a[row, row]
     return x
+
+
+def eval_per_point(T, theta, phi):
+    """``T`` evaluated with every band value and every cos/sin k phi taken
+    at each point, in the summation order of ``SphericalPoly.eval``: the
+    reference for its evaluation once per distinct theta and phi."""
+    polyval = np.polynomial.polynomial.polyval
+    n = T.degree
+    c = np.cos(theta)
+    s = np.sin(theta)
+    val = polyval(c, T.coef[:, 0, 0])
+    sk = 1.0
+    for k in range(1, n + 1):
+        sk = sk * s
+        a, b = polyval(c, T.coef[: n - k + 1, k])
+        val = val + a * sk * np.cos(k * phi)
+        val = val + b * sk * np.sin(k * phi)
+    return val
 
 
 def realified(block: np.ndarray) -> np.ndarray:

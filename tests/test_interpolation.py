@@ -27,7 +27,7 @@ from sphinterp import (
     spherical_from_vector,
 )
 from sphinterp.interpolation import _CHAINS, _Chain, _class_blocks
-from sphinterp.nodes import NodeSet, azimuth_grid, mirror
+from sphinterp.nodes import NodeSet, azimuth_grid, mirror, mirror_alphas
 from sphinterp.verification import TOL_PLANT_COEFF
 
 from helpers import dense_solve, extended_solve, realified
@@ -163,30 +163,35 @@ def test_chain_values_match_the_collocation_matrix(cols):
         expected = assemble_matrix(nodes) @ np.stack([T.coefficient_vector() for T in polys], axis=1)
         scale = np.max(np.abs(coef))
         for first in {0, len(chain.groups) // 2}:
-            got = chain.values(coef, first)
+            got = chain.values(coef, slice(first, None))
             rows = expected[chain.groups[first].nodes.start :]
             assert got.shape == rows.shape
             assert np.max(np.abs(got - rows)) <= 1e-13 * scale, (nodes.plan.lambdas, first)
 
 
-def test_pi_coeffs_match_python_product_loop():
+def test_psi_tables_match_python_product_loop():
     # reference: the schoolbook product, one factor (t - r) at a time over the
-    # group's latitude cosines, in Python floats; the chain's Pi_g must
-    # reproduce it bit for bit (a pairwise product such as polyfromroots
-    # rounds differently and would change the solver's coefficients)
+    # latitude cosines of every earlier ring, in Python floats; column j of
+    # the chain's Psi_g table must hold t**j Psi_g bit for bit (a pairwise
+    # product such as polyfromroots rounds differently and would change the
+    # solver's coefficients)
     for seed in range(8):
         for n in (1, 3, 5, 7, 9, 21):
             for plan in enumerate_partitions(n)[:16]:
                 nodes = build_nodeset(plan, seeded_latitudes(plan, seed))
                 for g, rings in zip(_Chain(nodes).groups, plan.ring_slices()):
                     ref = [1.0]
-                    for r in np.cos(nodes.theta[rings]).tolist():
+                    for r in np.cos(nodes.theta[: rings.start]).tolist():
                         out = [0.0] * (len(ref) + 1)
                         for i, c in enumerate(ref):
                             out[i] += c * -r
                             out[i + 1] += c
                         ref = out
-                    assert g.pi_coeffs.tolist() == ref
+                    table = [[0.0] * (2 * g.lam) for _ in range(n + 1)]
+                    for j in range(2 * g.lam):
+                        for i, c in enumerate(ref):
+                            table[i + j][j] = c
+                    assert g.psi_table.tolist() == table
 
 
 def test_example_nodeset_is_full_rank():
@@ -201,6 +206,13 @@ def test_problem_rejects_non_finite_data(bad):
     data = [1.0] * 16
     data[5] = bad
     with pytest.raises(InputError, match="index 5"):
+        InterpolationProblem(nodes=example_nodes(), data=tuple(data))
+
+
+def test_problem_names_the_first_non_finite_entry():
+    data = [1.0] * 16
+    data[9], data[4] = math.nan, -math.inf
+    with pytest.raises(InputError, match=r"got -inf at index 4$"):
         InterpolationProblem(nodes=example_nodes(), data=tuple(data))
 
 
@@ -374,6 +386,25 @@ def test_alpha_bypass_nyquist_class_is_singular():
     assert exc.value.condition_estimate == math.inf
 
 
+def test_latitude_shared_across_groups_is_exactly_singular(monkeypatch):
+    # Psi_1 vanishes on group 1 when it repeats group 0's latitude; NodeSet
+    # rejects such a set, so it is built around that check; the chain build
+    # flags it without solving the probes
+    plan = PartitionPlan(n=3, lambdas=(1, 1))
+    nodes = object.__new__(NodeSet)
+    fields = {"plan": plan, "theta": np.array(mirror([0.6]) * 2), "alpha": np.tile(mirror_alphas(2), 2)}
+    for name, value in fields.items():
+        object.__setattr__(nodes, name, value)
+
+    def refuse(self, rhs):
+        raise AssertionError("the probes were solved")
+
+    monkeypatch.setattr(_Chain, "solve", refuse)
+    chain = _Chain(nodes)
+    assert chain.exactly_singular
+    assert chain.log_abs_det == -math.inf and chain.condition_estimate == math.inf
+
+
 def _coefficient_gap(x, ref) -> float:
     return float(np.max(np.abs(x - ref)) / max(1.0, np.max(np.abs(ref))))
 
@@ -410,6 +441,22 @@ def test_single_group_chain_solve_matches_extended_oracle_n21():
     # to about 1e-7, so elimination in extended precision is the reference
     plan = PartitionPlan(n=21, lambdas=(11,))
     nodes = build_nodeset(plan, default_latitudes(plan))
+    data = np.random.default_rng(21).uniform(-1.0, 1.0, nodes.count())
+    reference = extended_solve(assemble_matrix(nodes), data).astype(float)
+    assert _coefficient_gap(_chain_coefficients(nodes, data), reference) <= TOL_PLANT_COEFF
+
+
+@pytest.mark.skipif(
+    np.finfo(np.longdouble).eps > 1e-18, reason="needs an extended-precision long double"
+)
+@pytest.mark.parametrize("lambdas", [(1,) * 11, (5, 6)], ids=["all-ones", "5-6"])
+def test_multi_group_chain_solve_matches_extended_oracle_n21(lambdas):
+    # reversed dealing: the cosines (q + 1) / (M + 1) go to the groups from
+    # the equator out, so the later groups sit nearest the poles, where
+    # Psi_g is smallest; kappa is about 4e9 (all ones) and 2e11 (5, 6)
+    plan = PartitionPlan(n=21, lambdas=lambdas)
+    cosines = iter((q + 1) / 12.0 for q in range(11))
+    nodes = build_nodeset(plan, [[math.acos(next(cosines)) for _ in range(lam)] for lam in lambdas])
     data = np.random.default_rng(21).uniform(-1.0, 1.0, nodes.count())
     reference = extended_solve(assemble_matrix(nodes), data).astype(float)
     assert _coefficient_gap(_chain_coefficients(nodes, data), reference) <= TOL_PLANT_COEFF

@@ -18,6 +18,8 @@ from sphinterp import (
 )
 from sphinterp.spherical import TOL_FOLD_GRID
 
+from helpers import eval_per_point
+
 
 def band_poly(n, k, kind, coeffs):
     coef = np.zeros((n + 1, n + 1, 2))
@@ -129,6 +131,28 @@ def test_eval_matches_scalar_horner_bit_for_bit():
             ref = ref + a * sk * np.cos(k * ph)
             ref = ref + b * sk * np.sin(k * ph)
         assert value == ref
+
+
+@pytest.mark.parametrize("n", [0, 1, 7, 21])
+def test_eval_once_per_distinct_angle_matches_per_point_eval(n):
+    # the q x 2q grid of interpolate --eval-grid repeats each theta along a
+    # row and each phi down a column; scattered points repeat neither, and
+    # a scalar against an array broadcasts; all must equal the per-point
+    # evaluation exactly
+    rng = np.random.default_rng(40 + n)
+    T = random_spherical(n, rng)
+    q = 2 * (n + 1)
+    grid = np.meshgrid((np.arange(q) + 0.5) * math.pi / q, np.arange(2 * q) * math.pi / q, indexing="ij")
+    scattered = rng.uniform(0.0, math.pi, size=50), rng.uniform(0.0, 2.0 * math.pi, size=50)
+    broadcast = 0.7, rng.uniform(0.0, 2.0 * math.pi, size=(3, 4))
+    for theta, phi in (grid, scattered, broadcast):
+        got = T.eval(theta, phi)
+        expected = eval_per_point(T, theta, phi)
+        assert got.shape == expected.shape
+        assert np.array_equal(got, expected)
+    value = T.eval(0.4, 1.3)
+    assert np.ndim(value) == 0 and isinstance(value, float)
+    assert value == eval_per_point(T, 0.4, 1.3)
 
 
 def test_basis_counts():
