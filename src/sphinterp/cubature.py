@@ -102,13 +102,17 @@ def build_rule(latitudes: Sequence[float]) -> CubatureRule:
     sum_i w_i P_2j(cos theta_i) = delta_j0 for j = 0..m-1 (Golub & Welsch,
     Math. Comp. 1969); the southern weights are their mirrored copy.
 
-    Raises ``WeightSumError`` when the computed weights miss the sum 2 by
-    more than ``TOL_WEIGHT_SUM``: the solve lost precision on valid input.
+    Raises ``WeightSumError`` when the moment matrix is singular in
+    float64 or the computed weights miss the sum 2 by more than
+    ``TOL_WEIGHT_SUM``: the solve lost precision on valid input.
     """
     ths = check_mirrored(latitudes)
     m = len(ths) // 2
     even = np.polynomial.legendre.legvander(np.cos(ths[:m]), 2 * m - 2)[:, ::2]
-    north = np.linalg.solve(even.T, np.eye(m)[0])
+    try:
+        north = np.linalg.solve(even.T, np.eye(m)[0])
+    except np.linalg.LinAlgError:
+        raise WeightSumError(f"the even Legendre moment matrix is singular in float64 at m = {m}") from None
     weights = tuple(float(w) for w in np.concatenate([north, north[::-1]]))
     total = sum(weights)
     if not abs(total - 2.0) <= TOL_WEIGHT_SUM:

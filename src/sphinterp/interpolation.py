@@ -110,26 +110,26 @@ def assemble_matrix(nodes: NodeSet) -> np.ndarray:
     return assemble_at_points(nodes.n, nodes.points())
 
 
-def _class_blocks(t_pow, s_pow, alpha, s: int):
+def _class_blocks(t_pow, s_pow, phase, s: int):
     """Frequency-class blocks of V_g at one group's rings, and their columns.
 
     The group has 2 lam = len(t_pow) rings of 2s azimuths at degree
     d = s + lam - 1; rows are rings, and t_pow and s_pow hold the powers
-    0..d (or more) of cos theta and sin theta at each ring. A middle class
-    p (0 < p < s) has the columns t**j sin**k (cos, sin)(k phi) of V_g
-    with k in {p, 2s - p}, given as (j, k, fold), fold = +1 at k = p and
-    -1 at k = 2s - p. Its complex block C + i fold S maps the unknowns
+    0..d (or more) of cos theta and sin theta at each ring, and phase[ring,
+    k] the (cos, sin) of k times the ring's first azimuth, for as many k. A
+    middle class p (0 < p < s) has the columns t**j sin**k (cos, sin)(k phi)
+    of V_g with k in {p, 2s - p}, given as (j, k, fold), fold = +1 at k = p
+    and -1 at k = 2s - p. Its complex block C + i fold S maps the unknowns
     a - i fold b (a, b the cos and sin coefficients) to sqrt(2) times each
     ring's orthonormal rfft value at p: the real form
     [[C, S], [fold S, -fold C]] of (a, b). The classes 0 and s are real
-    blocks on the real part of the rfft, with columns (j, k, kind), kind 0
-    for cos.
+    blocks on the real part of the rfft, over the cos coefficients of band
+    0 and over the cos, then the sin, coefficients of band s.
     """
     width = len(t_pow)
     lam = width // 2
     d = s + lam - 1
     m2 = 2 * s
-    beta = np.asarray(alpha) * math.pi / m2  # ring phase: phi_l = 2 pi l / m2 + beta
     p = np.arange(1, s)[:, None]
     u = np.arange(width)[None, :]
     w_low = np.minimum(width, d - p + 1)  # band p fills the first w_low slots,
@@ -139,26 +139,13 @@ def _class_blocks(t_pow, s_pow, alpha, s: int):
     fold = np.where(low, 1.0, -1.0)
     # gathers from the tables equal broadcast powers bit for bit; k <= d
     mag = math.sqrt(m2 / 2.0) * t_pow[:, j].swapaxes(0, 1) * s_pow[:, k].swapaxes(0, 1)
-    phase = k[:, None, :] * beta[None, :, None]
-    mid = mag * (np.cos(phase) + 1j * fold[:, None, :] * np.sin(phase))
+    cos, sin = phase[:, k].transpose(3, 1, 0, 2)  # [class, ring, column] each
+    mid = mag * (cos + 1j * fold[:, None, :] * sin)
 
     root_m = math.sqrt(m2)
-    v = np.arange(lam)
     nyquist = root_m * t_pow[:, :lam] * s_pow[:, 1:2] ** s  # a scalar exponent: numpy squares at s = 2
-    end = np.stack(
-        [
-            root_m * t_pow[:, :width],
-            np.concatenate(
-                [nyquist * np.cos(s * beta)[:, None], nyquist * np.sin(s * beta)[:, None]], axis=1
-            ),
-        ]
-    )
-    end_index = (
-        np.array([np.arange(width), np.concatenate([v, v])]),
-        np.array([[0] * width, [s] * width]),
-        np.array([[0] * width, [0] * lam + [1] * lam]),
-    )
-    return mid, (j, k, fold), end, end_index
+    end = np.stack([root_m * t_pow[:, :width], (phase[:, s, :, None] * nyquist[:, None]).reshape(width, width)])
+    return mid, (j, k, fold), end
 
 
 @dataclass(frozen=True)
@@ -171,7 +158,6 @@ class _Group:
     mid: np.ndarray  # (s - 1, 2 lam, 2 lam) complex middle-class blocks
     mid_cols: tuple  # (j, k, fold) of each middle column
     end: np.ndarray  # (2, 2 lam, 2 lam): classes 0 and s
-    end_index: tuple
     psi: np.ndarray  # Psi_g(cos theta) at each ring
     psi_table: np.ndarray  # (n + 1, 2 lam): column j holds t**j Psi_g, low to high
 
@@ -181,7 +167,9 @@ class _Chain:
     only on the node set: ``pivot_min``, ``log_abs_det`` and
     ``condition_estimate``, computed once here. A block that is exactly
     singular, or a ring where Psi_g vanishes, sets ``exactly_singular``,
-    log|det| -inf and kappa inf.
+    log|det| -inf and kappa inf. Group g owns its plan rings and the next
+    4 lam s nodes; its class blocks read their ring phases from its cos/sin
+    k phi table, whose azimuths come from ``azimuth_grid``.
 
     Coefficients live in arrays coef[j, k, kind, column], one
     ``SphericalPoly.coef`` per column.
@@ -191,13 +179,10 @@ class _Chain:
     def __init__(self, nodes: NodeSet):
         plan = nodes.plan
         n = plan.n
-        self.size = nodes.count()
         t_all = np.cos(nodes.theta)
         powers = np.arange(n + 1)
         self.t_pow = t_all[:, None] ** powers
         self.s_pow = np.sin(nodes.theta)[:, None] ** powers
-        ring_sizes = np.repeat(2 * np.array(plan.azimuth_half_counts()), 2 * np.array(plan.lambdas))
-        starts = np.concatenate([[0], np.cumsum(ring_sizes)])  # each ring's first node
         # row sums of |A|: sum_k s**k (sum_{j <= n - k} |t|**j) (|cos k phi| + |sin k phi|)
         weights = self.s_pow * np.cumsum(np.abs(self.t_pow), axis=1)[:, ::-1]
         norm_inf = 0.0
@@ -206,14 +191,15 @@ class _Chain:
         sigma = []  # singular values of the diagonal blocks; a complex block's count twice
         psi = np.ones(n + 1)  # product of the earlier Pi at each ring
         psi_poly = np.ones(1)  # Psi_g, high to low, one factor at a time as np.poly multiplies
+        first = 0  # the group's first node
         for lam, s, rings in zip(plan.lambdas, plan.azimuth_half_counts(), plan.ring_slices()):
             tags, tag_of = np.unique(nodes.alpha[rings], return_inverse=True)
             kphi = azimuth_grid(s, tags)[..., None] * powers  # [tag, azimuth, k]
-            cos, sin = np.cos(kphi)[tag_of], np.sin(kphi)[tag_of]
-            row_sums = np.sum(weights[rings, None] * (np.abs(cos) + np.abs(sin)), axis=-1)
+            trig = np.stack([np.cos(kphi), np.sin(kphi)], axis=-1)[tag_of]
+            row_sums = np.sum(weights[rings, None] * np.sum(np.abs(trig), axis=-1), axis=-1)
             norm_inf = max(norm_inf, float(np.max(row_sums)))
             t = t_all[rings]
-            mid, mid_cols, end, end_index = _class_blocks(self.t_pow[rings], self.s_pow[rings], nodes.alpha[rings], s)
+            mid, mid_cols, end = _class_blocks(self.t_pow[rings], self.s_pow[rings], trig[:, 0], s)
             mid_sigma, end_sigma = (np.linalg.svd(psi[rings, None] * b, compute_uv=False).ravel() for b in (mid, end))
             sigma += [mid_sigma, mid_sigma, end_sigma]
             psi_table = np.zeros((n + 1, 2 * lam))
@@ -224,23 +210,23 @@ class _Chain:
                     lam=lam,
                     s=s,
                     rings=rings,
-                    nodes=slice(starts[rings.start], starts[rings.stop]),
-                    trig=np.stack([cos, sin], axis=-1),
+                    nodes=slice(first, first + 4 * lam * s),
+                    trig=trig,
                     mid=mid,
                     mid_cols=mid_cols,
                     end=end,
-                    end_index=end_index,
                     psi=psi[rings],
                     psi_table=psi_table,
                 )
             )
+            first += 4 * lam * s
             psi[rings.stop :] *= np.prod(t_all[rings.stop :, None] - t[None, :], axis=1)
             for c in t:
                 psi_poly = np.convolve(psi_poly, [1.0, -c])
 
         sigma = np.concatenate(sigma)
         self.pivot_min, self.log_abs_det = float(sigma.min()), float(np.sum(np.log(sigma)))
-        probes = np.random.default_rng(_PROBE_SEED).choice((-1.0, 1.0), size=(self.size, _PROBES))
+        probes = np.random.default_rng(_PROBE_SEED).choice((-1.0, 1.0), size=(nodes.count(), _PROBES))
         # Psi_g vanishes where a ring shares a latitude cosine with an earlier group
         self.exactly_singular, cond = not np.all(psi), math.inf
         try:
@@ -288,7 +274,8 @@ class _Chain:
             z = np.linalg.solve(g.mid, math.sqrt(2.0) * spectra[:, 1 : g.s].transpose(1, 0, 2))
             r[j, k, 0] = z.real
             r[j, k, 1] = -fold[..., None] * z.imag
-            r[g.end_index] = np.linalg.solve(g.end, np.stack([spectra[:, 0].real, spectra[:, g.s].real]))
+            r[:, 0, 0], nyquist = np.linalg.solve(g.end, np.stack([spectra[:, 0].real, spectra[:, g.s].real]))
+            r[: g.lam, g.s] = nyquist.reshape(2, g.lam, cols).swapaxes(0, 1)
             if i:
                 coef[:, : g.s + g.lam] += (g.psi_table @ r.reshape(2 * g.lam, -1)).reshape(width, -1, 2, cols)
             else:
@@ -333,7 +320,7 @@ def solve(problem: InterpolationProblem) -> SolveReport:
             pivot_min=pivot_min,
             condition_estimate=cond,
         )
-    bound = 1.0 / (10.0 * chain.size * _UNIT_ROUNDOFF)
+    bound = 1.0 / (10.0 * problem.nodes.count() * _UNIT_ROUNDOFF)
     if not cond < bound:
         raise PoisednessError(
             f"collocation matrix is singular to working precision (condition "

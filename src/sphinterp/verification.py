@@ -50,6 +50,7 @@ from .nodes import (
     equispaced_latitudes,
     legendre_latitudes,
     mirror,
+    read_count,
     seeded_latitudes,
 )
 from .spherical import (
@@ -117,6 +118,7 @@ def poisedness_suite(n: int, seed: int, trials: int) -> list[dict]:
     ``plant_solve_condition`` row carrying its condition estimate, so one
     unsolvable case does not end the sweep.
     """
+    seed, trials = read_count(seed, "seed", 0), read_count(trials, "trials", 1)
     rows = []
     rng = np.random.default_rng(seed)
     for plan in enumerate_partitions(n):
@@ -196,6 +198,7 @@ def catalog_suite(n: int) -> list[dict]:
 
 
 def chebyshev_suite(rmax: int, seed: int) -> list[dict]:
+    rmax, seed = read_count(rmax, "rmax", 1), read_count(seed, "seed", 0)
     rows = []
     rng = np.random.default_rng(seed)
     for r in range(2, rmax + 1):
@@ -241,6 +244,7 @@ def chebyshev_suite(rmax: int, seed: int) -> list[dict]:
 
 
 def factorization_suite(mmax: int, seeds: int, seed: int) -> list[dict]:
+    mmax, seeds, seed = read_count(mmax, "mmax", 1), read_count(seeds, "seeds", 1), read_count(seed, "seed", 0)
     rows = []
     rng = np.random.default_rng(seed)
     for m in range(1, mmax + 1):
@@ -324,6 +328,8 @@ def _plant_vanishing(T: SphericalPoly, theta: float, alpha: float) -> SphericalP
 
 
 def lemmas_suite(mmax: int, fold_trials: int, seed: int) -> list[dict]:
+    mmax, fold_trials = read_count(mmax, "mmax", 1), read_count(fold_trials, "fold_trials", 1)
+    seed = read_count(seed, "seed", 0)
     rows = []
     rng = np.random.default_rng(seed)
     for m in range(1, mmax + 1):
@@ -382,6 +388,8 @@ def lemmas_suite(mmax: int, fold_trials: int, seed: int) -> list[dict]:
 
 
 def cubature_suite(mmax: int, trig_trials: int, seed: int) -> list[dict]:
+    mmax, trig_trials = read_count(mmax, "mmax", 1), read_count(trig_trials, "trig_trials", 1)
+    seed = read_count(seed, "seed", 0)
     rows = []
     rng = np.random.default_rng(seed)
     for m in range(1, mmax + 1):
@@ -468,7 +476,7 @@ def cubature_suite(mmax: int, trig_trials: int, seed: int) -> list[dict]:
 
 def dimension_suite(smax: int) -> list[dict]:
     rows = []
-    for s in range(0, smax + 1):
+    for s in range(0, read_count(smax, "smax", 0) + 1):
         for lam in range(1, (s + 1) // 2 + 1):
             ok = dimension_identity_check(s, lam)
             rows.append(_row("dimension", f"s{s}-lam{lam}", "identity", int(ok), 1, ok))

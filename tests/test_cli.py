@@ -476,6 +476,30 @@ def test_cubature_lost_weight_sum_is_numerical_failure(tmp_path: Path):
     assert not rule_path.exists()
 
 
+@pytest.mark.parametrize("m", ["31", "33", "41"])
+def test_cubature_singular_moment_matrix_is_numerical_failure(tmp_path: Path, m):
+    rule_path = tmp_path / "rule.json"
+    res = run_cli(
+        "cubature", "--m", m, "--latitudes", "default",
+        "--out-rule", str(rule_path), "--out-cert", str(tmp_path / "cert.json"),
+    )
+    assert res.returncode == 1
+    assert "Traceback" not in res.stderr
+    assert res.stderr == f"error: the even Legendre moment matrix is singular in float64 at m = {m}\n"
+    assert not rule_path.exists()
+
+
+def test_verify_cubature_records_a_singular_moment_matrix_as_failed_row(tmp_path: Path):
+    out = tmp_path / "results.csv"
+    res = run_cli("verify", "--suite", "cubature", "--m", "31", "--trials", "2", "--out", str(out))
+    assert res.returncode == 1
+    assert res.stderr == ""
+    with open(out, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    failed = {(r["case"], r["value"]) for r in rows if r["metric"] == "weight_sum" and r["status"] == "fail"}
+    assert ("m31-equispaced", "the even Legendre moment matrix is singular in float64 at m = 31") in failed
+
+
 @pytest.mark.parametrize("m, code", [(12, 0), (14, 1)])
 def test_cubature_exits_1_when_exactness_fails(tmp_path: Path, m, code):
     # equispaced latitudes: max error 8.7e-12 at m = 12, 2.3e-10 at m = 14

@@ -33,6 +33,14 @@ from sphinterp import (
     trig_quadrature_check,
     zero_spherical,
 )
+from sphinterp.verification import (
+    chebyshev_suite,
+    cubature_suite,
+    dimension_suite,
+    factorization_suite,
+    lemmas_suite,
+    poisedness_suite,
+)
 
 PLAN = PartitionPlan(n=3, lambdas=(1, 1))
 M1_LATITUDES = (1.0, math.pi - 1.0)
@@ -77,6 +85,32 @@ def _cheb(**counts):
 def test_a_count_that_is_not_an_integer_is_input_error_naming_it(call, name):
     with pytest.raises(InputError, match=f"^{name} must be an? (positive |nonnegative )?integer, got "):
         call()
+
+
+@pytest.mark.parametrize(
+    "suite, counts, name",
+    [
+        pytest.param(poisedness_suite, dict(n=3, seed=-1, trials=1), "seed", id="poisedness-seed=-1"),
+        pytest.param(poisedness_suite, dict(n=3, seed=0, trials=0), "trials", id="poisedness-trials=0"),
+        pytest.param(chebyshev_suite, dict(rmax=2.5, seed=0), "rmax", id="chebyshev-rmax=2.5"),
+        pytest.param(chebyshev_suite, dict(rmax=2, seed=-1), "seed", id="chebyshev-seed=-1"),
+        pytest.param(factorization_suite, dict(mmax=2, seeds=0, seed=0), "seeds", id="factorization-seeds=0"),
+        pytest.param(factorization_suite, dict(mmax=2, seeds=1.5, seed=0), "seeds", id="factorization-seeds=1.5"),
+        pytest.param(factorization_suite, dict(mmax=0, seeds=1, seed=0), "mmax", id="factorization-mmax=0"),
+        pytest.param(factorization_suite, dict(mmax=2, seeds=1, seed=-1), "seed", id="factorization-seed=-1"),
+        pytest.param(lemmas_suite, dict(mmax=2, fold_trials=0, seed=0), "fold_trials", id="lemmas-fold_trials=0"),
+        pytest.param(lemmas_suite, dict(mmax=True, fold_trials=1, seed=0), "mmax", id="lemmas-mmax=True"),
+        pytest.param(lemmas_suite, dict(mmax=2, fold_trials=1, seed=0.5), "seed", id="lemmas-seed=0.5"),
+        pytest.param(cubature_suite, dict(mmax=2, trig_trials=0, seed=0), "trig_trials", id="cubature-trig_trials=0"),
+        pytest.param(cubature_suite, dict(mmax=0, trig_trials=1, seed=0), "mmax", id="cubature-mmax=0"),
+        pytest.param(cubature_suite, dict(mmax=2, trig_trials=1, seed=-1), "seed", id="cubature-seed=-1"),
+        pytest.param(dimension_suite, dict(smax=-1), "smax", id="dimension-smax=-1"),
+        pytest.param(dimension_suite, dict(smax=2.0), "smax", id="dimension-smax=2.0"),
+    ],
+)
+def test_a_bad_suite_count_is_input_error_naming_it(suite, counts, name):
+    with pytest.raises(InputError, match=f"^{name} must be an? (positive |nonnegative )?integer, got "):
+        suite(**counts)
 
 
 def test_random_spherical_checks_the_degree_before_it_draws():

@@ -251,6 +251,21 @@ def test_build_rule_reports_lost_weight_sum_as_numerical_limit(family):
     assert not isinstance(info.value, InputError)
 
 
+@pytest.mark.parametrize(
+    "lats",
+    [
+        pytest.param(lambda: equispaced_latitudes(31), id="equispaced-m31"),
+        pytest.param(lambda: symmetric(seeded_latitudes(PartitionPlan(117, (59,)), 1)[0]), id="seeded-m59"),
+    ],
+)
+def test_build_rule_reports_a_singular_moment_matrix_as_numerical_limit(lats):
+    # valid, distinct mirror-paired latitudes whose even Legendre moment
+    # matrix is exactly singular in float64
+    with pytest.raises(WeightSumError, match="^the even Legendre moment matrix is singular in float64 at m = ") as info:
+        build_rule(lats())
+    assert not isinstance(info.value, InputError)
+
+
 @pytest.mark.parametrize("m", range(1, 9))
 def test_nonnegativity_at_legendre_latitudes(m):
     rule = legendre_rule(m)

@@ -75,20 +75,24 @@ def test_class_blocks_are_the_ring_spectra_of_the_coefficients(s, alpha):
     # rings a degree-(2s - 1) T is all of V_g, so the complex middle blocks
     # map the unknowns a - i fold b of its gathered (cos, sin) coefficients
     # to sqrt(2) times each ring's orthonormal rfft at the classes
-    # 0 < p < s, and the real end blocks map theirs to Re at 0 and s; the
-    # blocks read the powers 0..2s - 1 from per-ring tables
+    # 0 < p < s, and the real end blocks map theirs (the cos coefficients of
+    # band 0; the cos, then the sin, coefficients of band s) to Re at 0 and
+    # s; the blocks read the powers 0..2s - 1 and the (cos, sin) of k phi at
+    # each ring's first azimuth from per-ring tables
     rng = np.random.default_rng(100 * s + int(100 * alpha))
     T = random_spherical(2 * s - 1, rng)
     theta = np.sort(rng.uniform(0.1, PI - 0.1, size=2 * s))
     tags = np.full(2 * s, alpha)
     powers = np.arange(2 * s)
     tables = np.cos(theta)[:, None] ** powers, np.sin(theta)[:, None] ** powers
-    mid, (j, k, fold), end, end_index = _class_blocks(*tables, tags, s)
+    kphi = azimuth_grid(s, tags)[:, :1] * powers
+    mid, (j, k, fold), end = _class_blocks(*tables, np.stack([np.cos(kphi), np.sin(kphi)], axis=-1), s)
     spectra = np.fft.rfft(T.eval(theta[:, None], azimuth_grid(s, tags)), axis=1, norm="ortho")
     unknowns = T.coef[j, k, 0] - 1j * fold * T.coef[j, k, 1]
+    end_unknowns = np.stack([T.coef[:, 0, 0], T.coef[:s, s].T.ravel()])
     pairs = [
         (np.einsum("pab,pb->pa", mid, unknowns), math.sqrt(2.0) * spectra[:, 1:s].T),
-        (np.einsum("cab,cb->ca", end, T.coef[end_index]), np.stack([spectra[:, 0].real, spectra[:, s].real])),
+        (np.einsum("cab,cb->ca", end, end_unknowns), np.stack([spectra[:, 0].real, spectra[:, s].real])),
     ]
     for got, expected in pairs:  # the middle pair is empty at s = 1
         assert got.shape == expected.shape
@@ -143,12 +147,12 @@ def test_class_blocks_match_the_broadcast_powers_bit_for_bit():
 def test_complex_blocks_have_the_singular_values_of_their_real_form():
     # a complex block's singular values, each counted twice, are those of
     # its real 4 lam x 4 lam form; the chain counts them that way
-    for _, chain in _chains_to_41():
+    for nodes, chain in _chains_to_41():
         for g in chain.groups:
             doubled = np.sort(np.repeat(np.linalg.svd(g.mid, compute_uv=False), 2, axis=-1), axis=-1)
             real = np.sort(np.linalg.svd(realified(g.mid), compute_uv=False), axis=-1)
             scale = real.max(axis=-1, keepdims=True, initial=0.0)
-            assert np.all(np.abs(doubled - real) <= 1e-13 * scale), (chain.size, g.lam, g.s)
+            assert np.all(np.abs(doubled - real) <= 1e-13 * scale), (nodes.count(), g.lam, g.s)
 
 
 @pytest.mark.parametrize("cols", [1, 8])
