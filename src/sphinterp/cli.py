@@ -30,6 +30,7 @@ from .nodes import (
     default_latitudes,
     equispaced_latitudes,
     legendre_latitudes,
+    read_count,
 )
 from .verification import (
     TOL_EXACTNESS,
@@ -204,14 +205,15 @@ def cmd_interpolate(args) -> int:
 
 def cmd_cubature(args) -> int:
     f = None if args.apply is None else _builtin(args.apply)
+    m = read_count(args.m, "m", 1)
     if args.latitudes == "legendre":
-        lats = legendre_latitudes(args.m)
+        lats = legendre_latitudes(m)
     elif args.latitudes == "default":
-        lats = equispaced_latitudes(args.m)
+        lats = equispaced_latitudes(m)
     else:
         lats = check_mirrored(_lat_file(args))
-        if len(lats) != 2 * args.m:
-            raise InputError(f"--lat-file holds {len(lats)} latitudes, --m {args.m} needs {2 * args.m}")
+        if len(lats) != 2 * m:
+            raise InputError(f"--lat-file holds {len(lats)} latitudes, --m {m} needs {2 * m}")
     rule = build_rule(lats)
     cert = exactness_certificate(rule)
     _write_json(args.out_rule, rule.to_json_dict())

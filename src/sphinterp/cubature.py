@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import InputError, WeightSumError
 from .nodes import azimuth_grid, check_mirrored, legendre_latitudes, mirror_alphas, read_count, read_number
-from .spherical import band_mask
+from .spherical import band_mask, power_tables
 
 _PI = math.pi
 TOL_WEIGHT_SUM = 1e-12
@@ -204,10 +204,8 @@ def exactness_certificate(rule: CubatureRule) -> ExactnessReport:
         kphi = np.outer(freqs, phis)
         cos_sums[i] = np.cos(kphi).sum(axis=1)
         sin_sums[i] = np.sin(kphi).sum(axis=1)
-    theta = np.array(rule.latitudes)
-    # band[i, k] = (pi / m) w_i s_i**k; powers[i, j] = t_i**j
-    band = (_PI / rule.m) * np.array(rule.weights)[:, None] * np.sin(theta)[:, None] ** freqs
-    powers = np.vander(np.cos(theta), N=n + 1, increasing=True)
+    powers, sines = power_tables(rule.latitudes, n)  # [i, j] = t_i**j, [i, k] = s_i**k
+    band = (_PI / rule.m) * np.array(rule.weights)[:, None] * sines
     rule_vals = np.stack([(band * cos_sums).T @ powers, (band * sin_sums).T @ powers], axis=1)
     exact = np.array([[analytic_basis_integral(k, j) for j in freqs] for k in freqs])
     errors = (rule_vals - exact[:, None, :])[band_mask(n)].tolist()  # [k, kind, j]

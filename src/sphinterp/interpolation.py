@@ -1,4 +1,5 @@
-"""Collocation assembly, interpolation solves, and poisedness certificates.
+"""Collocation assembly, interpolation solves, and poisedness certificates;
+every power of cos theta and sin theta comes from ``spherical.power_tables``.
 
 The solver runs the factorization behind the poisedness theorem forward,
 one group of the plan at a time, and never assembles the collocation
@@ -14,8 +15,8 @@ vanishes on group g, so the group's values determine the V_g part alone:
   keeps its own azimuth phase, and one batched solve handles each kind;
 * the sweep pulls: with Psi_g = Pi_0 ... Pi_(g-1) and coef the sum of the
   earlier Psi_h r_h, group g reads its data as (f - coef(x)) / Psi_g(x) at
-  its own nodes only (the bands of coef evaluated once per ring, then one
-  batched matmul with the group's cos/sin k phi table);
+  its own nodes only (``spherical.band_values`` of coef once per ring,
+  then one batched matmul with the group's cos/sin k phi table);
 * its V_g solution r_g is added to coef as Psi_g r_g, one matmul with a
   table of the monomial coefficients of t**j Psi_g.
 
@@ -48,7 +49,7 @@ import numpy as np
 
 from .errors import InputError, PoisednessError
 from .nodes import NodeSet, azimuth_grid, read_count
-from .spherical import SphericalPoly, band_mask
+from .spherical import SphericalPoly, band_mask, band_values, power_tables
 
 RESIDUAL_TOL = 1e-8  # relative residual bound certified by solve/certificate
 
@@ -98,12 +99,11 @@ def assemble_at_points(n: int, points: Sequence[tuple[float, float]]) -> np.ndar
     t**j sin**k (cos, sin)(k phi), which agrees with evaluating it.
     """
     th, ph = np.asarray(points, dtype=float).reshape(-1, 2).T
+    t_pow, s_pow = power_tables(th, n)
     kphi = np.outer(ph, np.arange(n + 1))
-    # one scalar exponent per k: numpy squares for k = 2, an array exponent calls pow
-    sin_pow = np.stack([np.sin(th) ** k for k in range(n + 1)], axis=1)[:, :, None]
-    trig = np.stack([np.cos(kphi), np.sin(kphi)], axis=2) * sin_pow  # [point, k, kind]
+    trig = np.stack([np.cos(kphi), np.sin(kphi)], axis=2) * s_pow[:, :, None]  # [point, k, kind]
     k, kind, j = np.nonzero(band_mask(n))
-    return np.vander(np.cos(th), N=n + 1, increasing=True)[:, j] * trig[:, k, kind]
+    return t_pow[:, j] * trig[:, k, kind]
 
 
 def assemble_matrix(nodes: NodeSet) -> np.ndarray:
@@ -179,12 +179,10 @@ class _Chain:
     def __init__(self, nodes: NodeSet):
         plan = nodes.plan
         n = plan.n
-        t_all = np.cos(nodes.theta)
-        powers = np.arange(n + 1)
-        self.t_pow = t_all[:, None] ** powers
-        self.s_pow = np.sin(nodes.theta)[:, None] ** powers
+        self.theta = nodes.theta
+        t_pow, s_pow = power_tables(nodes.theta, n)
         # row sums of |A|: sum_k s**k (sum_{j <= n - k} |t|**j) (|cos k phi| + |sin k phi|)
-        weights = self.s_pow * np.cumsum(np.abs(self.t_pow), axis=1)[:, ::-1]
+        weights = s_pow * np.cumsum(np.abs(t_pow), axis=1)[:, ::-1]
         norm_inf = 0.0
 
         self.groups: list[_Group] = []
@@ -194,12 +192,12 @@ class _Chain:
         first = 0  # the group's first node
         for lam, s, rings in zip(plan.lambdas, plan.azimuth_half_counts(), plan.ring_slices()):
             tags, tag_of = np.unique(nodes.alpha[rings], return_inverse=True)
-            kphi = azimuth_grid(s, tags)[..., None] * powers  # [tag, azimuth, k]
+            kphi = azimuth_grid(s, tags)[..., None] * np.arange(n + 1)  # [tag, azimuth, k]
             trig = np.stack([np.cos(kphi), np.sin(kphi)], axis=-1)[tag_of]
             row_sums = np.sum(weights[rings, None] * np.sum(np.abs(trig), axis=-1), axis=-1)
             norm_inf = max(norm_inf, float(np.max(row_sums)))
-            t = t_all[rings]
-            mid, mid_cols, end = _class_blocks(self.t_pow[rings], self.s_pow[rings], trig[:, 0], s)
+            t = t_pow[rings, 1]
+            mid, mid_cols, end = _class_blocks(t_pow[rings], s_pow[rings], trig[:, 0], s)
             mid_sigma, end_sigma = (np.linalg.svd(psi[rings, None] * b, compute_uv=False).ravel() for b in (mid, end))
             sigma += [mid_sigma, mid_sigma, end_sigma]
             psi_table = np.zeros((n + 1, 2 * lam))
@@ -220,7 +218,7 @@ class _Chain:
                 )
             )
             first += 4 * lam * s
-            psi[rings.stop :] *= np.prod(t_all[rings.stop :, None] - t[None, :], axis=1)
+            psi[rings.stop :] *= np.prod(t_pow[rings.stop :, 1:2] - t[None, :], axis=1)
             for c in t:
                 psi_poly = np.convolve(psi_poly, [1.0, -c])
 
@@ -241,13 +239,12 @@ class _Chain:
     def values(self, coef: np.ndarray, groups: slice = slice(None)) -> np.ndarray:
         """Values of coefficient columns at the nodes of a run of consecutive
         groups, all of them by default: [node, column]. The bands are
-        evaluated once per ring, then each group's rings take one batched
-        matmul with its cos/sin table."""
-        width, bands, _, cols = coef.shape
+        evaluated once per ring (``band_values``), then each group's rings
+        take one batched matmul with its cos/sin table."""
+        _, bands, _, cols = coef.shape
         chosen = self.groups[groups]
         r0, r1 = chosen[0].rings.start, chosen[-1].rings.stop
-        vals = (self.t_pow[r0:r1, :width] @ coef.reshape(width, -1)).reshape(-1, bands, 2, cols)
-        vals *= self.s_pow[r0:r1, :bands, None, None]
+        vals = band_values(self.theta[r0:r1], coef)
         out = []
         for g in chosen:
             ring_vals = vals[g.rings.start - r0 : g.rings.stop - r0].reshape(2 * g.lam, 2 * bands, cols)
@@ -262,7 +259,7 @@ class _Chain:
         coef. Raises ``np.linalg.LinAlgError`` when a block is exactly singular.
         """
         cols = rhs.shape[1]
-        width = self.t_pow.shape[1]
+        width = len(self.theta)  # a degree-n plan has n + 1 latitudes
         coef = np.zeros((width, width, 2, cols))
         for i, g in enumerate(self.groups):
             data = rhs[g.nodes].reshape(2 * g.lam, 2 * g.s, cols)

@@ -15,7 +15,8 @@ k = 0 band with a_0 = t is exactly the coordinate function z.
 ``band_mask(n)[k, kind, j]`` marks the slots that may be nonzero: j <= n - k,
 and no b_0. Read in C order it is the canonical basis order (k ascending,
 cosine before sine, j ascending), so the canonical coefficient vector is
-one masked read of ``coef`` and one masked write rebuilds it.
+one masked read of ``coef`` and one masked write rebuilds it. The basis is
+tabulated here alone, by ``power_tables`` and ``band_values``.
 
 On the 2m equidistant azimuths phi_j = (2j + alpha) pi / (2m), harmonics of
 frequency 2m - k alias onto frequency k. ``fold_azimuth_modes`` performs
@@ -43,6 +44,22 @@ def band_mask(n: int) -> np.ndarray:
     mask = np.stack([fits, fits], axis=1)
     mask[0, 1] = False
     return mask
+
+
+def power_tables(theta, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (L, n + 1) tables cos(theta)**j and sin(theta)**k, j, k = 0..n, at L latitudes."""
+    powers = np.arange(read_count(n, "n", 0) + 1)
+    theta = np.asarray(theta, dtype=float)[:, None]
+    return np.cos(theta) ** powers, np.sin(theta) ** powers
+
+
+def band_values(theta, coef: np.ndarray) -> np.ndarray:
+    """a_k(t) sin(theta)**k and b_k(t) sin(theta)**k, t = cos(theta), as [latitude, k, kind, ...]
+    for coef[j, k, kind, ...], one ``SphericalPoly.coef`` per trailing column."""
+    t_pow, s_pow = power_tables(theta, len(coef) - 1)
+    vals = (t_pow @ coef.reshape(len(coef), -1)).reshape(len(t_pow), *coef.shape[1:])
+    vals *= s_pow.reshape(s_pow.shape + (1,) * (coef.ndim - 2))
+    return vals
 
 
 def _by_band(coef: np.ndarray) -> np.ndarray:
@@ -85,23 +102,17 @@ class SphericalPoly:
     def eval(self, theta, phi):
         """Evaluate at raw angles; accepts floats or numpy arrays.
 
-        One Horner pass per band over its own slice, both kinds at once, at
-        each distinct theta; cos and sin of k phi once per distinct phi.
+        ``band_values`` once at the distinct thetas, cos and sin of k phi
+        once at the distinct phis, then summed band by band at each point.
         """
-        polyval = np.polynomial.polynomial.polyval
-        n = self.degree
         thetas, at_theta = np.unique(theta, return_inverse=True)
         phis, at_phi = np.unique(phi, return_inverse=True)
         at_theta, at_phi = at_theta.reshape(np.shape(theta)), at_phi.reshape(np.shape(phi))
-        c = np.cos(thetas)
-        s = np.sin(thetas)
-        val = polyval(c, self.coef[:, 0, 0])[at_theta]
-        sk = 1.0
-        for k in range(1, n + 1):
-            sk = sk * s
-            a, b = polyval(c, self.coef[: n - k + 1, k])
-            val = val + (a * sk)[at_theta] * np.cos(k * phis)[at_phi]
-            val = val + (b * sk)[at_theta] * np.sin(k * phis)[at_phi]
+        a, b = band_values(thetas, self.coef).T  # [k, theta] each
+        val = 0.0
+        for k in range(self.degree + 1):
+            val = val + a[k][at_theta] * np.cos(k * phis)[at_phi]
+            val = val + b[k][at_theta] * np.sin(k * phis)[at_phi]
         return val[()]
 
     def coeff_scale(self) -> float:

@@ -439,9 +439,7 @@ def cubature_suite(mmax: int, trig_trials: int, seed: int) -> list[dict]:
         except PoisednessError as exc:
             rows.append(_row("cubature", f"m{m}-legendre", "interp_consistency", exc.condition_estimate, "solve raised", False))
         else:
-            # a_0 integrated over [-1, 1]: odd terms cancel, even terms give 2 c_j / (j + 1)
-            a0 = report.solution.coef[:, 0, 0].tolist()
-            via_interp = 2.0 * _PI * sum(2.0 * c / (j + 1) for j, c in enumerate(a0) if j % 2 == 0)
+            via_interp = sum(c * analytic_basis_integral(0, j) for j, c in enumerate(report.solution.coef[:, 0, 0].tolist()))
             via_rule = apply_rule(rule, f)
             diff = abs(via_interp - via_rule)
             rows.append(

@@ -8,7 +8,9 @@ rational finite differences, cubature weights come from exact rational
 Lagrange cardinals, the mixed parity systems are filled entry by entry,
 cubature exactness errors come from the node weights applied to the dense
 collocation matrix, and points come from a jittered grid with a guaranteed
-separation; spherical polynomials are evaluated point by point.
+separation; spherical polynomials are evaluated point by point, with the
+band values of all points taken in one product, and ``band_scale`` bounds
+the rounding of such an evaluation.
 """
 
 from __future__ import annotations
@@ -63,21 +65,33 @@ def extended_solve(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 
 def eval_per_point(T, theta, phi):
-    """``T`` evaluated with every band value and every cos/sin k phi taken
-    at each point, in the summation order of ``SphericalPoly.eval``: the
-    reference for its evaluation once per distinct theta and phi."""
-    polyval = np.polynomial.polynomial.polyval
+    """``T`` at every point of ``theta`` and ``phi`` (broadcast together),
+    with the band values of all points taken in one product and every
+    cos/sin k phi taken at each point, in the summation order of
+    ``SphericalPoly.eval``: the reference for its evaluation once per
+    distinct theta and phi."""
+    theta, phi = np.broadcast_arrays(theta, phi)
     n = T.degree
-    c = np.cos(theta)
-    s = np.sin(theta)
-    val = polyval(c, T.coef[:, 0, 0])
-    sk = 1.0
+    powers = np.arange(n + 1)
+    th, ph = theta.ravel(), phi.ravel()
+    bands = (np.cos(th)[:, None] ** powers @ T.coef.reshape(n + 1, -1)).reshape(-1, n + 1, 2)
+    bands *= (np.sin(th)[:, None] ** powers)[:, :, None]
+    a, b = bands.T
+    val = a[0]
     for k in range(1, n + 1):
-        sk = sk * s
-        a, b = polyval(c, T.coef[: n - k + 1, k])
-        val = val + a * sk * np.cos(k * phi)
-        val = val + b * sk * np.sin(k * phi)
-    return val
+        val = val + a[k] * np.cos(k * ph)
+        val = val + b[k] * np.sin(k * ph)
+    return val.reshape(theta.shape)[()]
+
+
+def band_scale(T, theta) -> float:
+    """The largest sum of |coefficient| |cos theta|**j sin(theta)**k over
+    the basis at the given thetas: it bounds |T| and every band value there."""
+    theta = np.ravel(theta)
+    powers = np.arange(T.degree + 1)
+    t_abs = np.abs(np.cos(theta))[:, None] ** powers
+    s_pow = np.sin(theta)[:, None] ** powers
+    return float(np.max(np.einsum("pj,jkc,pk->p", t_abs, np.abs(T.coef), s_pow)))
 
 
 def realified(block: np.ndarray) -> np.ndarray:

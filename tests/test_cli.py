@@ -420,6 +420,22 @@ def test_cubature_rejects_file_that_disagrees_with_m(tmp_path: Path):
     assert not rule_path.exists()
 
 
+@pytest.mark.parametrize("source", ["legendre", "default", "file"])
+def test_cubature_m_below_one_is_bad_input_for_every_latitude_source(tmp_path: Path, source):
+    # --m is read before the latitude source is chosen, so a valid file of
+    # two latitudes does not turn m = 0 into a count mismatch
+    lat_file = tmp_path / "lats.json"
+    lat_file.write_text(json.dumps([1.0, math.pi - 1.0]))
+    outs = [tmp_path / "rule.json", tmp_path / "cert.json"]
+    res = run_cli(
+        "cubature", "--m", "0", "--latitudes", source, "--lat-file", str(lat_file),
+        "--out-rule", str(outs[0]), "--out-cert", str(outs[1]),
+    )
+    assert res.returncode == 2
+    assert res.stderr == "error: m must be a positive integer, got 0\n"
+    assert not any(path.exists() for path in outs)
+
+
 def test_cubature_byte_deterministic(tmp_path: Path):
     runs = [(tmp_path / f"rule_{x}.json", tmp_path / f"cert_{x}.json") for x in "ab"]
     for rule_path, cert_path in runs:
