@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import InputError, WeightSumError
 from .nodes import azimuth_grid, check_mirrored, legendre_latitudes, mirror_alphas, read_count, read_number
-from .spherical import band_mask, power_tables
+from .spherical import azimuth_tables, band_mask, power_tables
 
 _PI = math.pi
 TOL_WEIGHT_SUM = 1e-12
@@ -158,15 +158,11 @@ def trig_quadrature_check(
     if read_count(alpha, "alpha") not in (0, 1):
         raise InputError("alpha must be 0 or 1")
     rng = np.random.default_rng(read_count(seed, "seed", 0))
-    phis = azimuth_grid(m, alpha)
+    trig = azimuth_tables(azimuth_grid(m, alpha), p_degree)[:, 1:].reshape(2 * m, -1)  # [phi, (d, kind)]
     worst = 0.0
     for _ in range(trials):
-        c0 = float(rng.standard_normal())
-        vals = np.full_like(phis, c0)
-        for d in range(1, p_degree + 1):
-            vals += rng.standard_normal() * np.cos(d * phis)
-            vals += rng.standard_normal() * np.sin(d * phis)
-        worst = max(worst, abs(float(np.mean(vals)) - c0))
+        c = rng.standard_normal(2 * p_degree + 1)  # the mean, then the cos and sin coefficients of each d
+        worst = max(worst, abs(float(np.mean(c[0] + trig @ c[1:]) - c[0])))
     return worst
 
 
@@ -190,24 +186,18 @@ def exactness_certificate(rule: CubatureRule) -> ExactnessReport:
     nonzero surface integral, namely 2 pi times the moment of t**j over
     [-1, 1]; every k >= 1 band integrates to zero over full turns of phi.
     The rule side is computed from the rule's own nodes and weights, ring
-    by ring: each ring's azimuthal sums C[i, k] = sum_l cos(k phi_il) and
-    S[i, k] = sum_l sin(k phi_il) over its own grid (so the rotated
-    southern rings keep their phase), then one contraction per kind,
-    (pi / m) sum_i w_i t_i**j s_i**k C[i, k] (or S[i, k]). Errors come
-    back in ``basis_index_order``.
+    by ring: each ring's azimuthal sums C[i, k, kind] of cos(k phi_il) and
+    sin(k phi_il) over its own grid (one ring's ``azimuth_tables`` at a
+    time, so the rotated southern rings keep their phase), then one
+    contraction, (pi / m) sum_i w_i t_i**j s_i**k C[i, k, kind]. Errors
+    come back in ``basis_index_order``.
     """
     n = 2 * rule.m - 1
-    freqs = np.arange(n + 1)
-    cos_sums = np.empty((2 * rule.m, n + 1))
-    sin_sums = np.empty((2 * rule.m, n + 1))
-    for i, phis in enumerate(rule.azimuths()):
-        kphi = np.outer(freqs, phis)
-        cos_sums[i] = np.cos(kphi).sum(axis=1)
-        sin_sums[i] = np.sin(kphi).sum(axis=1)
+    sums = np.stack([azimuth_tables(phis, n).sum(axis=0) for phis in rule.azimuths()])  # [i, k, kind]
     powers, sines = power_tables(rule.latitudes, n)  # [i, j] = t_i**j, [i, k] = s_i**k
-    band = (_PI / rule.m) * np.array(rule.weights)[:, None] * sines
-    rule_vals = np.stack([(band * cos_sums).T @ powers, (band * sin_sums).T @ powers], axis=1)
-    exact = np.array([[analytic_basis_integral(k, j) for j in freqs] for k in freqs])
+    band = (_PI / rule.m) * np.array(rule.weights)[:, None, None] * sines[:, :, None] * sums
+    rule_vals = np.tensordot(band, powers, axes=(0, 0))  # [k, kind, j]
+    exact = np.array([[analytic_basis_integral(k, j) for j in range(n + 1)] for k in range(n + 1)])
     errors = (rule_vals - exact[:, None, :])[band_mask(n)].tolist()  # [k, kind, j]
     max_err = max(abs(e) for e in errors)
     return ExactnessReport(max_abs_error=max_err, errors=tuple(errors))

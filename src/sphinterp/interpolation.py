@@ -1,5 +1,5 @@
-"""Collocation assembly, interpolation solves, and poisedness certificates;
-every power of cos theta and sin theta comes from ``spherical.power_tables``.
+"""Collocation assembly, interpolation solves, and poisedness certificates; every power of
+cos theta and sin theta and every cos and sin of k phi comes from ``spherical``'s basis tables.
 
 The solver runs the factorization behind the poisedness theorem forward,
 one group of the plan at a time, and never assembles the collocation
@@ -15,8 +15,8 @@ vanishes on group g, so the group's values determine the V_g part alone:
   keeps its own azimuth phase, and one batched solve handles each kind;
 * the sweep pulls: with Psi_g = Pi_0 ... Pi_(g-1) and coef the sum of the
   earlier Psi_h r_h, group g reads its data as (f - coef(x)) / Psi_g(x) at
-  its own nodes only (``spherical.band_values`` of coef once per ring,
-  then one batched matmul with the group's cos/sin k phi table);
+  its own nodes only (``spherical.band_values`` of coef once per ring on the
+  chain's power tables, then one batched matmul with the group's cos/sin table);
 * its V_g solution r_g is added to coef as Psi_g r_g, one matmul with a
   table of the monomial coefficients of t**j Psi_g.
 
@@ -49,9 +49,9 @@ import numpy as np
 
 from .errors import InputError, PoisednessError
 from .nodes import NodeSet, azimuth_grid, read_count
-from .spherical import SphericalPoly, band_mask, band_values, power_tables
+from .spherical import SphericalPoly, azimuth_tables, band_mask, band_values, power_tables
 
-RESIDUAL_TOL = 1e-8  # relative residual bound certified by solve/certificate
+RESIDUAL_TOL = 1e-8  # poisedness_certificate's relative residual bound; the CLI's default --residual-tol
 
 _PROBES = 3  # +-1 probe columns behind the condition estimate
 _PROBE_SEED = 20040  # fixed, so the estimate is reproducible
@@ -100,8 +100,7 @@ def assemble_at_points(n: int, points: Sequence[tuple[float, float]]) -> np.ndar
     """
     th, ph = np.asarray(points, dtype=float).reshape(-1, 2).T
     t_pow, s_pow = power_tables(th, n)
-    kphi = np.outer(ph, np.arange(n + 1))
-    trig = np.stack([np.cos(kphi), np.sin(kphi)], axis=2) * s_pow[:, :, None]  # [point, k, kind]
+    trig = azimuth_tables(ph, n) * s_pow[:, :, None]  # [point, k, kind]
     k, kind, j = np.nonzero(band_mask(n))
     return t_pow[:, j] * trig[:, k, kind]
 
@@ -179,8 +178,7 @@ class _Chain:
     def __init__(self, nodes: NodeSet):
         plan = nodes.plan
         n = plan.n
-        self.theta = nodes.theta
-        t_pow, s_pow = power_tables(nodes.theta, n)
+        self.t_pow, self.s_pow = t_pow, s_pow = power_tables(nodes.theta, n)
         # row sums of |A|: sum_k s**k (sum_{j <= n - k} |t|**j) (|cos k phi| + |sin k phi|)
         weights = s_pow * np.cumsum(np.abs(t_pow), axis=1)[:, ::-1]
         norm_inf = 0.0
@@ -192,8 +190,7 @@ class _Chain:
         first = 0  # the group's first node
         for lam, s, rings in zip(plan.lambdas, plan.azimuth_half_counts(), plan.ring_slices()):
             tags, tag_of = np.unique(nodes.alpha[rings], return_inverse=True)
-            kphi = azimuth_grid(s, tags)[..., None] * np.arange(n + 1)  # [tag, azimuth, k]
-            trig = np.stack([np.cos(kphi), np.sin(kphi)], axis=-1)[tag_of]
+            trig = azimuth_tables(azimuth_grid(s, tags), n)[tag_of]
             row_sums = np.sum(weights[rings, None] * np.sum(np.abs(trig), axis=-1), axis=-1)
             norm_inf = max(norm_inf, float(np.max(row_sums)))
             t = t_pow[rings, 1]
@@ -238,13 +235,13 @@ class _Chain:
 
     def values(self, coef: np.ndarray, groups: slice = slice(None)) -> np.ndarray:
         """Values of coefficient columns at the nodes of a run of consecutive
-        groups, all of them by default: [node, column]. The bands are
-        evaluated once per ring (``band_values``), then each group's rings
-        take one batched matmul with its cos/sin table."""
+        groups, all of them by default: [node, column]. The bands are evaluated
+        once per ring (``band_values`` on the chain's power tables), then each
+        group's rings take one batched matmul with its cos/sin table."""
         _, bands, _, cols = coef.shape
         chosen = self.groups[groups]
         r0, r1 = chosen[0].rings.start, chosen[-1].rings.stop
-        vals = band_values(self.theta[r0:r1], coef)
+        vals = band_values(self.t_pow[r0:r1], self.s_pow[r0:r1], coef)
         out = []
         for g in chosen:
             ring_vals = vals[g.rings.start - r0 : g.rings.stop - r0].reshape(2 * g.lam, 2 * bands, cols)
@@ -259,7 +256,7 @@ class _Chain:
         coef. Raises ``np.linalg.LinAlgError`` when a block is exactly singular.
         """
         cols = rhs.shape[1]
-        width = len(self.theta)  # a degree-n plan has n + 1 latitudes
+        width = len(self.t_pow)  # a degree-n plan has n + 1 latitudes
         coef = np.zeros((width, width, 2, cols))
         for i, g in enumerate(self.groups):
             data = rhs[g.nodes].reshape(2 * g.lam, 2 * g.s, cols)

@@ -16,7 +16,7 @@ k = 0 band with a_0 = t is exactly the coordinate function z.
 and no b_0. Read in C order it is the canonical basis order (k ascending,
 cosine before sine, j ascending), so the canonical coefficient vector is
 one masked read of ``coef`` and one masked write rebuilds it. The basis is
-tabulated here alone, by ``power_tables`` and ``band_values``.
+tabulated here alone, by ``power_tables``, ``azimuth_tables`` and ``band_values``.
 
 On the 2m equidistant azimuths phi_j = (2j + alpha) pi / (2m), harmonics of
 frequency 2m - k alias onto frequency k. ``fold_azimuth_modes`` performs
@@ -53,10 +53,15 @@ def power_tables(theta, n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.cos(theta) ** powers, np.sin(theta) ** powers
 
 
-def band_values(theta, coef: np.ndarray) -> np.ndarray:
-    """a_k(t) sin(theta)**k and b_k(t) sin(theta)**k, t = cos(theta), as [latitude, k, kind, ...]
-    for coef[j, k, kind, ...], one ``SphericalPoly.coef`` per trailing column."""
-    t_pow, s_pow = power_tables(theta, len(coef) - 1)
+def azimuth_tables(phi, n: int) -> np.ndarray:
+    """cos(k phi) and sin(k phi), k = 0..n, as [..., k, kind] for phi of any shape."""
+    kphi = np.asarray(phi, dtype=float)[..., None] * np.arange(read_count(n, "n", 0) + 1)
+    return np.stack([np.cos(kphi), np.sin(kphi)], axis=-1)
+
+
+def band_values(t_pow: np.ndarray, s_pow: np.ndarray, coef: np.ndarray) -> np.ndarray:
+    """a_k(t) sin(theta)**k and b_k(t) sin(theta)**k, t = cos(theta), as [latitude, k, kind, ...] for
+    coef[j, k, kind, ...] (one ``SphericalPoly.coef`` per trailing column), from the latitudes' ``power_tables``."""
     vals = (t_pow @ coef.reshape(len(coef), -1)).reshape(len(t_pow), *coef.shape[1:])
     vals *= s_pow.reshape(s_pow.shape + (1,) * (coef.ndim - 2))
     return vals
@@ -102,17 +107,18 @@ class SphericalPoly:
     def eval(self, theta, phi):
         """Evaluate at raw angles; accepts floats or numpy arrays.
 
-        ``band_values`` once at the distinct thetas, cos and sin of k phi
-        once at the distinct phis, then summed band by band at each point.
+        ``band_values`` at the distinct thetas and ``azimuth_tables`` at the distinct
+        phis, then summed at each point one band at a time, gathered from both tables.
         """
         thetas, at_theta = np.unique(theta, return_inverse=True)
         phis, at_phi = np.unique(phi, return_inverse=True)
         at_theta, at_phi = at_theta.reshape(np.shape(theta)), at_phi.reshape(np.shape(phi))
-        a, b = band_values(thetas, self.coef).T  # [k, theta] each
+        bands = band_values(*power_tables(thetas, self.degree), self.coef).T  # [kind, k, theta]
+        trig = azimuth_tables(phis, self.degree).T  # [kind, k, phi]
         val = 0.0
-        for k in range(self.degree + 1):
-            val = val + a[k][at_theta] * np.cos(k * phis)[at_phi]
-            val = val + b[k][at_theta] * np.sin(k * phis)[at_phi]
+        for a, b, cos, sin in zip(*bands, *trig):
+            val = val + a[at_theta] * cos[at_phi]
+            val = val + b[at_theta] * sin[at_phi]
         return val[()]
 
     def coeff_scale(self) -> float:

@@ -6,21 +6,22 @@ on the assembled collocation matrix (in float64, or in extended precision
 as a reference for the float64 solvers), derivatives come from exact
 rational finite differences, cubature weights come from exact rational
 Lagrange cardinals, the mixed parity systems are filled entry by entry,
-cubature exactness errors come from the node weights applied to the dense
-collocation matrix, and points come from a jittered grid with a guaranteed
-separation; spherical polynomials are evaluated point by point, with the
-band values of all points taken in one product, and ``band_scale`` bounds
-the rounding of such an evaluation.
+cubature exactness errors come from the node weights applied to a dense
+collocation matrix written out here, and points come from a jittered grid
+with a guaranteed separation; spherical polynomials are evaluated point by
+point, with the band values of all points taken in one product, and
+``band_scale`` bounds the rounding of such an evaluation.
 """
 
 from __future__ import annotations
 
+import tracemalloc
 from fractions import Fraction
 from math import factorial, isqrt
 
 import numpy as np
 
-from sphinterp import analytic_basis_integral, assemble_at_points, basis_index_order
+from sphinterp import analytic_basis_integral, basis_index_order
 
 
 def det_cofactor(rows) -> float:
@@ -94,6 +95,18 @@ def band_scale(T, theta) -> float:
     return float(np.max(np.einsum("pj,jkc,pk->p", t_abs, np.abs(T.coef), s_pow)))
 
 
+def traced_peak_bytes(call, *args) -> int:
+    """The peak of the memory that Python and numpy allocate during call(*args),
+    above what was allocated when it started, by ``tracemalloc``."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        call(*args)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
 def realified(block: np.ndarray) -> np.ndarray:
     """The real form [[Re, -Im], [Im, Re]] of a complex matrix or stack of them."""
     return np.block([[block.real, -block.imag], [block.imag, block.real]])
@@ -127,12 +140,17 @@ def dense_exactness_errors(rule) -> np.ndarray:
     """Rule-minus-analytic integrals over the degree 2m - 1 basis, densely.
 
     Applies the node weights to the full 4m**2 x 4m**2 collocation matrix,
-    in ``basis_index_order``: O(m**4) time and memory, so keep m small.
+    in ``basis_index_order``, each column written out here as
+    cos(theta)**j sin(theta)**k times cos(k phi) or sin(k phi) at every
+    node: O(m**4) time and memory, so keep m small.
     """
     n = 2 * rule.m - 1
-    nodes = rule.nodes()
-    node_w = np.array([w for _, _, w in nodes])
-    rule_vals = node_w @ assemble_at_points(n, [(th, ph) for th, ph, _ in nodes])
+    theta, phi, node_w = np.array(rule.nodes()).T
+    trig = {"cos": np.cos, "sin": np.sin}
+    matrix = np.stack(
+        [np.cos(theta) ** j * np.sin(theta) ** k * trig[kind](k * phi) for k, kind, j in basis_index_order(n)], axis=1
+    )
+    rule_vals = node_w @ matrix
     exact = [analytic_basis_integral(k, j) for k, _kind, j in basis_index_order(n)]
     return rule_vals - np.array(exact)
 

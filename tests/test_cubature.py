@@ -27,7 +27,7 @@ from sphinterp import (
 )
 from sphinterp.verification import TOL_EXACTNESS, analytic_basis_integral
 
-from helpers import cardinal_integral_weights, dense_exactness_errors
+from helpers import cardinal_integral_weights, dense_exactness_errors, traced_peak_bytes
 
 PI = math.pi
 
@@ -236,6 +236,14 @@ def test_certificate_reads_the_rules_own_azimuths(monkeypatch):
     errors = np.array(exactness_certificate(rule).errors)
     assert np.max(np.abs(errors)) > 1e-5
     assert np.max(np.abs(errors - dense_exactness_errors(rule))) <= 1e-13
+
+
+def test_certificate_memory_stays_ring_sized():
+    # the azimuthal sums take one ring's cos/sin table at a time: the peak is
+    # about 0.5 MB at m = 32, where one table over all 4m**2 nodes takes 10 MB
+    rule = legendre_rule(32)
+    exactness_certificate(legendre_rule(2))  # first-call allocations stay out of the count
+    assert traced_peak_bytes(exactness_certificate, rule) < 2e6
 
 
 def test_m64_legendre_rule_certifies():

@@ -580,6 +580,32 @@ def test_solve_and_certificate_share_one_chain(monkeypatch, solve_first):
     assert len(interpolation._CHAINS) == 1
 
 
+def test_built_chain_refines_and_solves_without_power_tables(monkeypatch):
+    # the chain keeps the power tables its build computes, and its value
+    # passes slice them: once built, a refine (two solves and two passes over
+    # all nodes) and a solve tabulate no power, from either module
+    import sphinterp.interpolation as interpolation
+    import sphinterp.spherical as spherical
+
+    calls = Counter()
+    for module in (spherical, interpolation):
+        tables = module.power_tables
+
+        def counted(*args, module=module, tables=tables):
+            calls[module.__name__] += 1
+            return tables(*args)
+
+        monkeypatch.setattr(module, "power_tables", counted)
+    plan = PartitionPlan(n=13, lambdas=(1,) * 7)
+    chain = _Chain(build_nodeset(plan, default_latitudes(plan)))
+    assert calls == {"sphinterp.interpolation": 1}
+    f = np.random.default_rng(13).uniform(-1.0, 1.0, size=(plan.n + 1) ** 2)[:, None]
+    residual = chain.refine(f)[1]
+    chain.solve(f)
+    assert calls == {"sphinterp.interpolation": 1}
+    assert residual[0] <= interpolation.RESIDUAL_TOL
+
+
 def test_chain_cache_entry_dies_with_its_node_set():
     gc.collect()
     before = len(_CHAINS)

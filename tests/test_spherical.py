@@ -20,9 +20,9 @@ from sphinterp import (
     spherical_from_vector,
     zero_spherical,
 )
-from sphinterp.spherical import TOL_FOLD_GRID, band_values, power_tables
+from sphinterp.spherical import TOL_FOLD_GRID, azimuth_tables, band_values, power_tables
 
-from helpers import band_scale, eval_per_point
+from helpers import band_scale, eval_per_point, traced_peak_bytes
 
 
 def band_poly(n, k, kind, coeffs):
@@ -337,6 +337,40 @@ def test_power_tables_read_n_as_a_count(n):
         power_tables([0.5], n)
 
 
+def test_eval_memory_on_the_n41_grid_stays_flat():
+    # one band of each table gathered at a time, from tables over the
+    # distinct angles: the peak is under 1 MB on the q x 2q grid, q = 84,
+    # where gathering a whole [point, k, kind] table takes 9.5 MB per array
+    n = 41
+    q = 2 * (n + 1)
+    grid = np.meshgrid((np.arange(q) + 0.5) * math.pi / q, np.arange(2 * q) * math.pi / q, indexing="ij")
+    T = random_spherical(n, np.random.default_rng(n))
+    T.eval(0.3, 0.2)  # first-call allocations stay out of the count
+    assert traced_peak_bytes(T.eval, *grid) < 3e6
+
+
+@pytest.mark.parametrize("shape", [(), (7,), (3, 4)])
+@pytest.mark.parametrize("n", [0, 1, 9, 41])
+def test_azimuth_tables_hold_the_scalar_cos_and_sin(shape, n):
+    # [..., k, kind] over phi of any shape, each entry within one ulp of
+    # math.cos or math.sin of the Python product k * phi
+    phi = np.random.default_rng(n).uniform(0.0, 2.0 * math.pi, size=shape)
+    table = azimuth_tables(phi, n)
+    assert table.shape == phi.shape + (n + 1, 2)
+    for index in np.ndindex(shape):
+        ph = float(phi[index])
+        for k in range(n + 1):
+            for kind, func in enumerate((math.cos, math.sin)):
+                ref = func(k * ph)
+                assert abs(table[index + (k, kind)] - ref) <= math.ulp(ref), (ph, k, func.__name__)
+
+
+@pytest.mark.parametrize("n", [-1, 2.0, True, "3"])
+def test_azimuth_tables_read_n_as_a_count(n):
+    with pytest.raises(InputError, match="n must be"):
+        azimuth_tables([0.5], n)
+
+
 @pytest.mark.parametrize("plan", [PartitionPlan(1, (1,)), PartitionPlan(7, (2, 2)), PartitionPlan(13, (3, 1, 3))])
 def test_band_values_of_a_column_stack(plan):
     # a stack of columns gives each column's own band values (up to the
@@ -348,11 +382,12 @@ def test_band_values_of_a_column_stack(plan):
     theta, phi = nodes.points().T
     polys = [random_spherical(plan.n, rng) for _ in range(5)]
     stack = np.stack([T.coef for T in polys], axis=-1)
-    bands = band_values(theta, stack)
+    tables = power_tables(theta, plan.n)
+    bands = band_values(*tables, stack)
     assert bands.shape == (len(theta), plan.n + 1, 2, 5)
     u = np.finfo(float).eps / 2.0
     for col, T in enumerate(polys):
-        assert np.max(np.abs(bands[..., col] - band_values(theta, T.coef))) <= 2 * (plan.n + 1) * u * band_scale(T, theta)
+        assert np.max(np.abs(bands[..., col] - band_values(*tables, T.coef))) <= 2 * (plan.n + 1) * u * band_scale(T, theta)
     kphi = np.outer(phi, np.arange(plan.n + 1))
     values = np.einsum("pkc,pkcq->pq", np.stack([np.cos(kphi), np.sin(kphi)], axis=-1), bands)
     expected = assemble_matrix(nodes) @ np.stack([T.coefficient_vector() for T in polys], axis=1)
